@@ -2,7 +2,7 @@
 //! (deterministic) and the threaded driver.
 
 use criterion::{black_box, criterion_group, criterion_main, Criterion};
-use distclk::{run_lockstep, run_threads, DistConfig};
+use distclk::{run_lockstep, DistConfig, Run};
 use lk::Budget;
 use tsp_core::{generate, NeighborLists};
 
@@ -25,7 +25,7 @@ fn bench_drivers(c: &mut Criterion) {
         b.iter(|| black_box(run_lockstep(&inst, &nl, &cfg(8)).best_length))
     });
     g.bench_function("threads_8n_3calls", |b| {
-        b.iter(|| black_box(run_threads(&inst, &nl, &cfg(8)).best_length))
+        b.iter(|| black_box(Run::new(&inst, &nl, &cfg(8)).threads().best_length))
     });
     g.bench_function("lockstep_1n_3calls", |b| {
         b.iter(|| black_box(run_lockstep(&inst, &nl, &cfg(1)).best_length))

@@ -17,7 +17,7 @@
 //! redundant paths), and corruption never crashes a run or pollutes
 //! the reported best (every reported length is recomputed locally).
 
-use distclk::run_lockstep_over;
+use distclk::Run;
 use lk::KickStrategy;
 use p2p::fault::{FaultConfig, FaultyTransport};
 use p2p::memory::InMemoryNetwork;
@@ -61,7 +61,9 @@ pub fn run(scale: &Scale) -> Report {
                         .into_iter()
                         .map(|e| FaultyTransport::new(e, fcfg))
                         .collect();
-                    let res = run_lockstep_over(&inst, &nl, &cfg, wrapped, Some(stats));
+                    let res = Run::new(&inst, &nl, &cfg)
+                        .over(wrapped, Some(stats))
+                        .lockstep();
                     let rejected: u64 = res.nodes.iter().map(|n| n.rejected).sum();
                     csv.push(format!(
                         "{fault_kind},{topo:?},{rate},{run},{},{rejected}",

@@ -25,7 +25,7 @@ use std::collections::{BTreeMap, BTreeSet};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use distclk::{run_over_transports_telemetry, DistConfig, TelemetryAttach};
+use distclk::{DistConfig, Run, TelemetryAttach};
 use lk::Budget;
 use obs_api::Obs;
 use p2p::hub::{join_via_hub, scrape_metrics, scrape_status, LifecycleHub};
@@ -115,13 +115,10 @@ pub fn run_mode(smoke: bool) -> Report {
     let started = Instant::now();
     let result = std::thread::scope(|scope| {
         let solver = scope.spawn(|| {
-            run_over_transports_telemetry(
-                &inst,
-                &nl,
-                &cfg,
-                endpoints,
-                Some((Arc::clone(&store), TelemetryAttach::Node(0))),
-            )
+            Run::new(&inst, &nl, &cfg)
+                .over(endpoints, None)
+                .telemetry(Arc::clone(&store), TelemetryAttach::Node(0))
+                .threads()
         });
         while !solver.is_finished() {
             let t = started.elapsed().as_secs_f64();

@@ -27,7 +27,7 @@ use p2p::memory::{InMemoryNetwork, MemoryEndpoint};
 use p2p::{Membership, NodeId, Transport};
 use tsp_core::{Instance, NeighborLists};
 
-use crate::driver::DistResult;
+use crate::driver::{DistResult, Run};
 use crate::node::{DistConfig, NodeDriver, NodeResult};
 
 /// One scheduled churn action.
@@ -115,45 +115,54 @@ impl ChurnSchedule {
     }
 }
 
-/// [`crate::run_lockstep`] under a churn schedule. With an empty
-/// schedule this is *exactly* `run_lockstep` — same endpoints, same
-/// stepping order, bit-identical results for a fixed seed.
-///
-/// A killed node contributes an aborted [`NodeResult`] (crash
-/// semantics: its partial record is kept but excluded from the
-/// aggregate best-tour selection); if it is later revived, the new
-/// incarnation contributes a second, clean record under the same id,
-/// so `result.nodes` can hold more entries than `cfg.nodes`.
+/// [`crate::run_lockstep`] under a churn schedule:
+/// `Run::new(..).churn(schedule).lockstep()`. With an empty schedule
+/// this is *exactly* `run_lockstep` — same endpoints, same stepping
+/// order, bit-identical results for a fixed seed.
 pub fn run_lockstep_churn(
     inst: &Instance,
     neighbors: &NeighborLists,
     cfg: &DistConfig,
     schedule: &ChurnSchedule,
 ) -> DistResult {
-    if schedule.events.is_empty() {
-        // Nothing for the churn machinery to do: take the plain
-        // lockstep path, so zero-churn runs pay literally nothing for
-        // the churn capability (the ≤2% overhead bound and the
-        // bit-identity conformance tests hold by construction).
-        return crate::run_lockstep(inst, neighbors, cfg);
-    }
-    let start = std::time::Instant::now();
-    let (net, endpoints) = InMemoryNetwork::create(cfg.nodes, cfg.topology);
-    let mut membership = Membership::new(cfg.topology, cfg.nodes);
-    let mut drivers: Vec<Option<NodeDriver<'_, MemoryEndpoint>>> = endpoints
-        .into_iter()
-        .map(|ep| Some(NodeDriver::new(inst, neighbors, cfg, ep)))
-        .collect();
-    let mut results: Vec<NodeResult> = Vec::with_capacity(cfg.nodes);
+    Run::new(inst, neighbors, cfg).churn(schedule).lockstep()
+}
+
+/// A schedule being applied to an in-memory network, round by round.
+pub(crate) struct Churn<'s> {
+    schedule: &'s ChurnSchedule,
+    net: InMemoryNetwork,
+    membership: Membership,
     // Driver-side mirror of the hub role, used to resolve `KillHub`
     // targets and pick `MigrateHub` successors. It tracks the outcome
     // the distributed election must converge on (lowest alive id, next
     // epoch); the conformance tests assert the nodes' own views agree.
-    let mut hub: NodeId = 0;
-    let mut hub_epoch: u64 = 0;
-    let mut round: u64 = 0;
-    loop {
-        for &(r, action) in &schedule.events {
+    hub: NodeId,
+    hub_epoch: u64,
+}
+
+impl<'s> Churn<'s> {
+    pub(crate) fn new(schedule: &'s ChurnSchedule, net: InMemoryNetwork, cfg: &DistConfig) -> Self {
+        Churn {
+            schedule,
+            net,
+            membership: Membership::new(cfg.topology, cfg.nodes),
+            hub: 0,
+            hub_epoch: 0,
+        }
+    }
+
+    /// Apply the actions scheduled for `round`. Killed nodes push their
+    /// aborted record onto `results`; `rejoin` builds the node for a
+    /// revived endpoint.
+    pub(crate) fn apply<'a>(
+        &mut self,
+        round: u64,
+        drivers: &mut [Option<NodeDriver<'a, MemoryEndpoint>>],
+        results: &mut Vec<NodeResult>,
+        rejoin: impl Fn(MemoryEndpoint) -> NodeDriver<'a, MemoryEndpoint>,
+    ) {
+        for &(r, action) in &self.schedule.events {
             if r != round {
                 continue;
             }
@@ -161,13 +170,13 @@ pub fn run_lockstep_churn(
                 ChurnAction::Kill(_) | ChurnAction::KillHub => {
                     let id = match action {
                         ChurnAction::Kill(id) => id,
-                        _ => hub,
+                        _ => self.hub,
                     };
-                    if !membership.is_alive(id) {
+                    if !self.membership.is_alive(id) {
                         continue;
                     }
-                    net.kill(id);
-                    let group = membership.fail(id);
+                    self.net.kill(id);
+                    let group = self.membership.fail(id);
                     if let Some(driver) = drivers[id].take() {
                         results.push(driver.abort());
                     }
@@ -194,69 +203,51 @@ pub fn run_lockstep_churn(
                     }
                     // The hub role dies with its holder: mirror the
                     // outcome the distributed election converges on.
-                    if id == hub {
-                        if let Some(&succ) = membership.alive_nodes().first() {
-                            hub = succ;
-                            hub_epoch += 1;
+                    if id == self.hub {
+                        if let Some(&succ) = self.membership.alive_nodes().first() {
+                            self.hub = succ;
+                            self.hub_epoch += 1;
                         }
                     }
                 }
                 ChurnAction::Revive(id) => {
-                    if membership.is_alive(id) {
+                    if self.membership.is_alive(id) {
                         continue;
                     }
-                    let back = membership.rejoin(id);
-                    let ep = net.revive(id, back.clone());
+                    let back = self.membership.rejoin(id);
+                    let ep = self.net.revive(id, back.clone());
                     for &b in &back {
                         if let Some(driver) = drivers[b].as_mut() {
                             driver.transport_mut().add_neighbor(id);
                         }
                     }
-                    drivers[id] = Some(NodeDriver::new_rejoining(inst, neighbors, cfg, ep));
+                    drivers[id] = Some(rejoin(ep));
                 }
                 ChurnAction::MigrateHub => {
                     // Orderly handover: the lowest alive non-hub node
                     // with a running driver claims the next epoch; the
                     // old hub (still alive) steps down on seeing it.
-                    let succ = membership
+                    let succ = self
+                        .membership
                         .alive_nodes()
                         .into_iter()
-                        .find(|&v| v != hub && drivers[v].is_some());
+                        .find(|&v| v != self.hub && drivers[v].is_some());
                     let Some(succ) = succ else {
                         continue;
                     };
                     let epoch = drivers[succ]
                         .as_ref()
                         .map(|d| d.hub_epoch() + 1)
-                        .unwrap_or(hub_epoch + 1);
+                        .unwrap_or(self.hub_epoch + 1);
                     if let Some(driver) = drivers[succ].as_mut() {
                         driver.promote(epoch);
                     }
-                    hub = succ;
-                    hub_epoch = hub_epoch.max(epoch);
+                    self.hub = succ;
+                    self.hub_epoch = self.hub_epoch.max(epoch);
                 }
             }
         }
-        let mut any_live = false;
-        for slot in drivers.iter_mut() {
-            if let Some(node) = slot {
-                if node.step() {
-                    any_live = true;
-                } else {
-                    results.push(slot.take().expect("just matched Some").finish());
-                }
-            }
-        }
-        round += 1;
-        if !any_live {
-            break;
-        }
     }
-    for slot in drivers.into_iter().flatten() {
-        results.push(slot.finish());
-    }
-    let messages = net.stats().snapshot();
-    DistResult::assemble(inst, results, messages, start.elapsed().as_secs_f64())
 }
 
 #[cfg(test)]

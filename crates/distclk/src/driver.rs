@@ -1,13 +1,15 @@
-//! Drivers that schedule the node loop.
+//! [`Run`], the one driver that schedules the node loop.
 
 use std::sync::Arc;
+use std::time::Instant;
 
 use lk::Trace;
 use obs_api::MetricsSnapshot;
-use p2p::memory::{InMemoryNetwork, NetStats};
+use p2p::memory::{InMemoryNetwork, MemoryEndpoint, NetStats};
 use p2p::{NodeId, TelemetryStore, Transport};
 use tsp_core::{Instance, NeighborLists, Tour};
 
+use crate::churn::{Churn, ChurnSchedule};
 use crate::node::{DistConfig, NodeDriver, NodeResult};
 
 /// Aggregate outcome of a distributed run.
@@ -34,11 +36,11 @@ pub struct DistResult {
 }
 
 impl DistResult {
-    pub(crate) fn assemble(
+    fn assemble(
         inst: &Instance,
         mut nodes: Vec<NodeResult>,
-        messages: (u64, u64, u64),
-        secs: f64,
+        stats: Option<Arc<NetStats>>,
+        start: Instant,
     ) -> Self {
         nodes.sort_by_key(|n| n.id);
         // Aborted nodes (killed by churn, or panicked threads) carry no
@@ -65,8 +67,8 @@ impl DistResult {
             best_tour,
             best_length,
             network_trace,
-            messages,
-            wall_seconds: secs,
+            messages: stats.map_or((0, 0, 0), |s| s.snapshot()),
+            wall_seconds: start.elapsed().as_secs_f64(),
             metrics,
             nodes,
         }
@@ -99,127 +101,6 @@ impl DistResult {
     }
 }
 
-/// Run the distributed algorithm with one OS thread per node over an
-/// in-memory network — the wall-clock-faithful driver (the paper's
-/// cluster shape, minus the physical Ethernet; see DESIGN.md §3).
-pub fn run_threads(inst: &Instance, neighbors: &NeighborLists, cfg: &DistConfig) -> DistResult {
-    let start = std::time::Instant::now();
-    let (endpoints, stats) = InMemoryNetwork::build(cfg.nodes, cfg.topology);
-    let results: Vec<NodeResult> = std::thread::scope(|scope| {
-        let handles: Vec<_> = endpoints
-            .into_iter()
-            .map(|ep| {
-                let cfg = cfg.clone();
-                scope.spawn(move || {
-                    let node = NodeDriver::new(inst, neighbors, &cfg, ep);
-                    node.run_to_completion()
-                })
-            })
-            .collect();
-        handles
-            .into_iter()
-            .map(|h| h.join().expect("node thread panicked"))
-            .collect()
-    });
-    DistResult::assemble(inst, results, stats.snapshot(), start.elapsed().as_secs_f64())
-}
-
-/// Run the distributed algorithm in deterministic lockstep on the
-/// current thread: every round, each live node executes exactly one
-/// iteration; messages sent in round `r` are visible in round `r+1`
-/// (single channel hop). Budgets should be effort-based
-/// (`Budget::kicks`) for full determinism.
-///
-/// ```
-/// use tsp_core::{generate, NeighborLists};
-/// use distclk::{run_lockstep, DistConfig};
-/// use lk::Budget;
-///
-/// let inst = generate::uniform(100, 100_000.0, 3);
-/// let neighbors = NeighborLists::build(&inst, 8);
-/// let cfg = DistConfig {
-///     nodes: 4,
-///     budget: Budget::kicks(2),
-///     clk_kicks_per_call: 3,
-///     ..Default::default()
-/// };
-/// let result = run_lockstep(&inst, &neighbors, &cfg);
-/// assert_eq!(result.nodes.len(), 4);
-/// assert_eq!(result.best_tour.length(&inst), result.best_length);
-/// ```
-pub fn run_lockstep(inst: &Instance, neighbors: &NeighborLists, cfg: &DistConfig) -> DistResult {
-    let (endpoints, stats) = InMemoryNetwork::build(cfg.nodes, cfg.topology);
-    run_lockstep_over(inst, neighbors, cfg, endpoints, Some(stats))
-}
-
-/// [`run_lockstep`] over caller-supplied transports — e.g. in-memory
-/// endpoints wrapped in [`p2p::fault::FaultyTransport`] or
-/// [`p2p::delay::DelayedTransport`] for the robustness experiments.
-/// Pass the network's [`NetStats`] handle to populate the message
-/// counters of the result (zeros otherwise).
-pub fn run_lockstep_over<T: Transport>(
-    inst: &Instance,
-    neighbors: &NeighborLists,
-    cfg: &DistConfig,
-    transports: Vec<T>,
-    stats: Option<Arc<NetStats>>,
-) -> DistResult {
-    run_lockstep_telemetry_over(inst, neighbors, cfg, transports, stats, None)
-}
-
-/// [`run_lockstep_over`] with a live telemetry plane: the store is
-/// attached per `attach` ([`TelemetryAttach::AllNodes`] ingests frames
-/// in-process on every node — the lockstep equivalent of a live hub
-/// view; [`TelemetryAttach::Node`] attaches only that node, so every
-/// other node ships its frames *over the transport* to the
-/// lifecycle-hub holder exactly like the TCP deployment). Pass
-/// `telemetry: None` (or leave `cfg.telemetry_every` at 0) for a plain
-/// run. The caller keeps the `Arc` and can scrape the store mid-run
-/// from another thread.
-pub fn run_lockstep_telemetry_over<T: Transport>(
-    inst: &Instance,
-    neighbors: &NeighborLists,
-    cfg: &DistConfig,
-    transports: Vec<T>,
-    stats: Option<Arc<NetStats>>,
-    telemetry: Option<(Arc<TelemetryStore>, TelemetryAttach)>,
-) -> DistResult {
-    let start = std::time::Instant::now();
-    let mut drivers: Vec<Option<NodeDriver<'_, T>>> = transports
-        .into_iter()
-        .map(|ep| {
-            let mut node = NodeDriver::new(inst, neighbors, cfg, ep);
-            if let Some((store, attach)) = &telemetry {
-                if attach.covers(node.id()) {
-                    node.attach_telemetry(Arc::clone(store));
-                }
-            }
-            Some(node)
-        })
-        .collect();
-    let mut results: Vec<NodeResult> = Vec::with_capacity(drivers.len());
-    loop {
-        let mut any_live = false;
-        for slot in drivers.iter_mut() {
-            if let Some(node) = slot {
-                if node.step() {
-                    any_live = true;
-                } else {
-                    results.push(slot.take().expect("just matched Some").finish());
-                }
-            }
-        }
-        if !any_live {
-            break;
-        }
-    }
-    for slot in drivers.into_iter().flatten() {
-        results.push(slot.finish());
-    }
-    let messages = stats.map_or((0, 0, 0), |s| s.snapshot());
-    DistResult::assemble(inst, results, messages, start.elapsed().as_secs_f64())
-}
-
 /// Which nodes a shared [`TelemetryStore`] is attached to.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum TelemetryAttach {
@@ -241,67 +122,269 @@ impl TelemetryAttach {
     }
 }
 
-/// Run the distributed algorithm over pre-built transports (e.g. the
-/// TCP endpoints from [`p2p::hub::bootstrap_local`] or a real cluster).
-/// One thread per endpoint.
+/// Schedule of a [`Run`] without churn.
+static NO_CHURN: ChurnSchedule = ChurnSchedule { events: Vec::new() };
+
+/// One distributed run of the paper's Fig. 1 loop: an instance, its
+/// candidate lists and a [`DistConfig`], finished by one of two
+/// schedules.
 ///
-/// A node thread that panics (poisoned transport, bug, injected chaos)
-/// does **not** bring the run down: its slot is recorded as an aborted
-/// [`NodeResult`] placeholder and every other join still completes, so
-/// the caller always gets a degraded-but-complete [`DistResult`].
+/// - [`Run::lockstep`] runs every node on the current thread in
+///   deterministic rounds: each live node executes exactly one
+///   iteration per round, and messages sent in round `r` are visible
+///   in round `r+1` (single channel hop). Budgets should be
+///   effort-based (`Budget::kicks`) for full determinism.
+/// - [`Run::threads`] runs one OS thread per node — the wall-clock
+///   faithful shape of the paper's cluster (DESIGN.md §3). A node
+///   thread that panics (poisoned transport, bug, injected chaos) does
+///   **not** bring the run down: its slot is recorded as an aborted
+///   [`NodeResult`] placeholder and every other join still completes,
+///   so the caller always gets a degraded-but-complete [`DistResult`].
+///
+/// By default the nodes talk over an in-memory network built from
+/// `cfg.nodes` and `cfg.topology`, whose message counters fill
+/// [`DistResult::messages`]. [`Run::over`] substitutes caller
+/// transports, [`Run::telemetry`] attaches a live telemetry store, and
+/// [`Run::churn`] kills and revives nodes between lockstep rounds.
+///
+/// ```
+/// use tsp_core::{generate, NeighborLists};
+/// use distclk::{DistConfig, Run};
+/// use lk::Budget;
+///
+/// let inst = generate::uniform(100, 100_000.0, 3);
+/// let neighbors = NeighborLists::build(&inst, 8);
+/// let cfg = DistConfig {
+///     nodes: 4,
+///     budget: Budget::kicks(2),
+///     clk_kicks_per_call: 3,
+///     ..Default::default()
+/// };
+/// let result = Run::new(&inst, &neighbors, &cfg).lockstep();
+/// assert_eq!(result.nodes.len(), 4);
+/// assert_eq!(result.best_tour.length(&inst), result.best_length);
+/// ```
+pub struct Run<'a, T = MemoryEndpoint> {
+    nodes: Nodes<'a>,
+    transports: Option<(Vec<T>, Option<Arc<NetStats>>)>,
+    churn: &'a ChurnSchedule,
+}
+
+impl<'a> Run<'a> {
+    /// A run over the default in-memory network.
+    pub fn new(inst: &'a Instance, neighbors: &'a NeighborLists, cfg: &'a DistConfig) -> Self {
+        Run {
+            nodes: Nodes {
+                inst,
+                neighbors,
+                cfg,
+                telemetry: None,
+            },
+            transports: None,
+            churn: &NO_CHURN,
+        }
+    }
+
+    /// Run over caller-supplied transports instead: in-memory endpoints
+    /// wrapped in [`p2p::fault::FaultyTransport`] or
+    /// [`p2p::delay::DelayedTransport`], or the TCP endpoints from
+    /// [`p2p::hub::bootstrap_local`] or a real cluster. Pass the
+    /// network's [`NetStats`] handle to populate the message counters
+    /// of the result (zeros otherwise).
+    pub fn over<T: Transport>(
+        self,
+        transports: Vec<T>,
+        stats: Option<Arc<NetStats>>,
+    ) -> Run<'a, T> {
+        Run {
+            nodes: self.nodes,
+            transports: Some((transports, stats)),
+            churn: self.churn,
+        }
+    }
+}
+
+impl<'a, T: Transport> Run<'a, T> {
+    /// Attach a live telemetry store per `attach`:
+    /// [`TelemetryAttach::AllNodes`] ingests frames in-process on every
+    /// node, while [`TelemetryAttach::Node`] attaches only that node,
+    /// so every other node ships its frames *over the transport* to the
+    /// lifecycle-hub holder exactly like the TCP deployment (there,
+    /// borrow the store from [`p2p::hub::LifecycleHub::telemetry`] so
+    /// `METRICS`/`STATUS` scrapes on the hub port read it mid-run).
+    /// Frames flow only when `cfg.telemetry_every > 0`. The caller
+    /// keeps the `Arc` and can scrape the store from another thread.
+    pub fn telemetry(mut self, store: Arc<TelemetryStore>, attach: TelemetryAttach) -> Self {
+        self.nodes.telemetry = Some((store, attach));
+        self
+    }
+
+    /// Apply a churn schedule between lockstep rounds (see
+    /// [`crate::churn`]). A killed node contributes an aborted
+    /// [`NodeResult`]; a revived one contributes a second, clean record
+    /// under the same id, so `result.nodes` can hold more entries than
+    /// `cfg.nodes`. An empty schedule is the plain run.
+    ///
+    /// # Panics
+    ///
+    /// [`Run::lockstep`] panics when a non-empty schedule meets caller
+    /// transports, and [`Run::threads`] on any non-empty schedule:
+    /// churn needs the in-memory network and lockstep rounds.
+    pub fn churn(mut self, schedule: &'a ChurnSchedule) -> Self {
+        self.churn = schedule;
+        self
+    }
+
+    /// Finish in deterministic lockstep on the current thread.
+    pub fn lockstep(self) -> DistResult {
+        let start = Instant::now();
+        let Run {
+            nodes,
+            transports,
+            churn,
+        } = self;
+        let (results, stats) = match transports {
+            None => {
+                let (net, endpoints) = InMemoryNetwork::create(nodes.cfg.nodes, nodes.cfg.topology);
+                let stats = net.stats();
+                let mut churn = Churn::new(churn, net, nodes.cfg);
+                let results = nodes.lockstep(endpoints, |round, drivers, results| {
+                    churn.apply(round, drivers, results, |ep| nodes.rejoin(ep))
+                });
+                (results, Some(stats))
+            }
+            Some((transports, stats)) => {
+                assert!(
+                    churn.events.is_empty(),
+                    "churn runs on the default in-memory network only"
+                );
+                (nodes.lockstep(transports, |_, _, _| {}), stats)
+            }
+        };
+        DistResult::assemble(nodes.inst, results, stats, start)
+    }
+
+    /// Finish with one OS thread per node.
+    pub fn threads(self) -> DistResult {
+        assert!(self.churn.events.is_empty(), "churn runs in lockstep only");
+        let start = Instant::now();
+        let Run {
+            nodes, transports, ..
+        } = self;
+        let (results, stats) = match transports {
+            None => {
+                let (endpoints, stats) =
+                    InMemoryNetwork::build(nodes.cfg.nodes, nodes.cfg.topology);
+                (nodes.threads(endpoints), Some(stats))
+            }
+            Some((transports, stats)) => (nodes.threads(transports), stats),
+        };
+        DistResult::assemble(nodes.inst, results, stats, start)
+    }
+}
+
+/// What every node of a [`Run`] is built from.
+struct Nodes<'a> {
+    inst: &'a Instance,
+    neighbors: &'a NeighborLists,
+    cfg: &'a DistConfig,
+    telemetry: Option<(Arc<TelemetryStore>, TelemetryAttach)>,
+}
+
+impl<'a> Nodes<'a> {
+    fn start<T: Transport>(&self, ep: T) -> NodeDriver<'a, T> {
+        self.attach(NodeDriver::new(self.inst, self.neighbors, self.cfg, ep))
+    }
+
+    fn rejoin(&self, ep: MemoryEndpoint) -> NodeDriver<'a, MemoryEndpoint> {
+        self.attach(NodeDriver::new_rejoining(
+            self.inst,
+            self.neighbors,
+            self.cfg,
+            ep,
+        ))
+    }
+
+    fn attach<T: Transport>(&self, mut node: NodeDriver<'a, T>) -> NodeDriver<'a, T> {
+        if let Some((store, attach)) = &self.telemetry {
+            if attach.covers(node.id()) {
+                node.attach_telemetry(Arc::clone(store));
+            }
+        }
+        node
+    }
+
+    /// The lockstep loop. `between_rounds` runs ahead of every round
+    /// (churn kills and revives nodes there); then each live node
+    /// steps once, and a node whose step returns `false` is finished.
+    fn lockstep<T: Transport>(
+        &self,
+        transports: Vec<T>,
+        mut between_rounds: impl FnMut(u64, &mut [Option<NodeDriver<'a, T>>], &mut Vec<NodeResult>),
+    ) -> Vec<NodeResult> {
+        let mut drivers: Vec<Option<NodeDriver<'a, T>>> = transports
+            .into_iter()
+            .map(|ep| Some(self.start(ep)))
+            .collect();
+        let mut results = Vec::with_capacity(drivers.len());
+        for round in 0.. {
+            between_rounds(round, &mut drivers, &mut results);
+            let mut any_live = false;
+            for slot in drivers.iter_mut() {
+                if let Some(node) = slot {
+                    if node.step() {
+                        any_live = true;
+                    } else {
+                        results.push(slot.take().expect("just matched Some").finish());
+                    }
+                }
+            }
+            if !any_live {
+                break;
+            }
+        }
+        results
+    }
+
+    /// The thread-per-node loop; a panicked node becomes an aborted
+    /// placeholder record.
+    fn threads<T: Transport>(&self, transports: Vec<T>) -> Vec<NodeResult> {
+        std::thread::scope(|scope| {
+            let handles: Vec<_> = transports
+                .into_iter()
+                .map(|ep| {
+                    let id = ep.node_id();
+                    (id, scope.spawn(move || self.start(ep).run_to_completion()))
+                })
+                .collect();
+            handles
+                .into_iter()
+                .map(|(id, h)| {
+                    h.join()
+                        .unwrap_or_else(|_| NodeResult::aborted_placeholder(id, self.inst.len()))
+                })
+                .collect()
+        })
+    }
+}
+
+/// Run the distributed algorithm in deterministic lockstep over the
+/// default in-memory network: `Run::new(..).lockstep()`.
+pub fn run_lockstep(inst: &Instance, neighbors: &NeighborLists, cfg: &DistConfig) -> DistResult {
+    Run::new(inst, neighbors, cfg).lockstep()
+}
+
+/// Run the distributed algorithm over pre-built transports, one thread
+/// per endpoint: `Run::new(..).over(transports, None).threads()`.
 pub fn run_over_transports<T: Transport + 'static>(
     inst: &Instance,
     neighbors: &NeighborLists,
     cfg: &DistConfig,
     transports: Vec<T>,
 ) -> DistResult {
-    run_over_transports_telemetry(inst, neighbors, cfg, transports, None)
-}
-
-/// [`run_over_transports`] with a live telemetry plane (see
-/// [`run_lockstep_telemetry_over`] for the attachment modes). In the
-/// TCP deployment the natural shape is `TelemetryAttach::Node(0)` with
-/// the store borrowed from the lifecycle hub's scrape server
-/// ([`p2p::hub::LifecycleHub::telemetry`]): frames cross the real
-/// sockets to node 0, merge there, and `METRICS`/`STATUS` scrapes on
-/// the hub port read the same store mid-run.
-pub fn run_over_transports_telemetry<T: Transport + 'static>(
-    inst: &Instance,
-    neighbors: &NeighborLists,
-    cfg: &DistConfig,
-    transports: Vec<T>,
-    telemetry: Option<(Arc<TelemetryStore>, TelemetryAttach)>,
-) -> DistResult {
-    let start = std::time::Instant::now();
-    let results: Vec<NodeResult> = std::thread::scope(|scope| {
-        let handles: Vec<_> = transports
-            .into_iter()
-            .map(|ep| {
-                let id = ep.node_id();
-                let cfg = cfg.clone();
-                let store = telemetry
-                    .as_ref()
-                    .filter(|(_, attach)| attach.covers(id))
-                    .map(|(store, _)| Arc::clone(store));
-                let h = scope.spawn(move || {
-                    let mut node = NodeDriver::new(inst, neighbors, &cfg, ep);
-                    if let Some(store) = store {
-                        node.attach_telemetry(store);
-                    }
-                    node.run_to_completion()
-                });
-                (id, h)
-            })
-            .collect();
-        handles
-            .into_iter()
-            .map(|(id, h)| {
-                h.join()
-                    .unwrap_or_else(|_| NodeResult::aborted_placeholder(id, inst.len()))
-            })
-            .collect()
-    });
-    DistResult::assemble(inst, results, (0, 0, 0), start.elapsed().as_secs_f64())
+    Run::new(inst, neighbors, cfg)
+        .over(transports, None)
+        .threads()
 }
 
 #[cfg(test)]
@@ -353,13 +436,15 @@ mod tests {
         let inst = generate::uniform(80, 10_000.0, 303);
         let nl = NeighborLists::build(&inst, 8);
         let cfg = small_cfg(4, 3, 11);
-        let res = run_threads(&inst, &nl, &cfg);
+        let res = Run::new(&inst, &nl, &cfg).threads();
         assert_eq!(res.nodes.len(), 4);
         assert_eq!(res.best_tour.length(&inst), res.best_length);
         for n in &res.nodes {
             assert!(n.clk_calls >= 3);
         }
         assert!(res.total_node_seconds() > 0.0);
+        // The default in-memory network reports its message counters.
+        assert!(res.messages.0 > 0);
     }
 
     #[test]
@@ -476,15 +561,9 @@ mod tests {
         let mut cfg = small_cfg(4, 4, 7);
         cfg.telemetry_every = 1;
         let store = TelemetryStore::shared();
-        let (endpoints, stats) = InMemoryNetwork::build(cfg.nodes, cfg.topology);
-        let res = run_lockstep_telemetry_over(
-            &inst,
-            &nl,
-            &cfg,
-            endpoints,
-            Some(stats),
-            Some((Arc::clone(&store), TelemetryAttach::AllNodes)),
-        );
+        let res = Run::new(&inst, &nl, &cfg)
+            .telemetry(Arc::clone(&store), TelemetryAttach::AllNodes)
+            .lockstep();
         assert_eq!(store.nodes(), vec![0, 1, 2, 3]);
         for n in &res.nodes {
             let live = store.node(n.id).expect("node reported");
@@ -517,15 +596,9 @@ mod tests {
         cfg.topology = p2p::Topology::Complete;
         cfg.telemetry_every = 1;
         let store = TelemetryStore::shared();
-        let (endpoints, stats) = InMemoryNetwork::build(cfg.nodes, cfg.topology);
-        let res = run_lockstep_telemetry_over(
-            &inst,
-            &nl,
-            &cfg,
-            endpoints,
-            Some(stats),
-            Some((Arc::clone(&store), TelemetryAttach::Node(0))),
-        );
+        let res = Run::new(&inst, &nl, &cfg)
+            .telemetry(Arc::clone(&store), TelemetryAttach::Node(0))
+            .lockstep();
         assert_eq!(
             store.nodes(),
             vec![0, 1, 2, 3],
@@ -560,15 +633,9 @@ mod tests {
         let mut live_cfg = cfg.clone();
         live_cfg.telemetry_every = 1;
         let store = TelemetryStore::shared();
-        let (endpoints, stats) = InMemoryNetwork::build(live_cfg.nodes, live_cfg.topology);
-        let live = run_lockstep_telemetry_over(
-            &inst,
-            &nl,
-            &live_cfg,
-            endpoints,
-            Some(stats),
-            Some((store, TelemetryAttach::AllNodes)),
-        );
+        let live = Run::new(&inst, &nl, &live_cfg)
+            .telemetry(store, TelemetryAttach::AllNodes)
+            .lockstep();
         assert_eq!(base.best_length, live.best_length);
         assert_eq!(base.best_tour.order(), live.best_tour.order());
         assert_eq!(base.total_broadcasts(), live.total_broadcasts());

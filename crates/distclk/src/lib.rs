@@ -20,14 +20,14 @@
 //! restart from a fresh construction once `NumNoImprovements > c_r`
 //! (defaults `c_v = 64`, `c_r = 256`).
 //!
-//! Two drivers schedule the node loop:
+//! One driver, [`Run`], schedules the node loop in one of two ways:
 //!
-//! - [`driver::run_threads`] — one OS thread per node over any
+//! - [`Run::threads`] — one OS thread per node over any
 //!   [`p2p::Transport`] (in-memory or TCP), wall-clock budgets; this is
 //!   the paper's deployment shape.
-//! - [`driver::run_lockstep`] — single-threaded round-based simulation
-//!   with deterministic message delivery, used by tests and the
-//!   effort-budgeted experiments.
+//! - [`Run::lockstep`] — single-threaded round-based simulation with
+//!   deterministic message delivery, used by tests and the
+//!   effort-budgeted experiments; it alone applies churn schedules.
 
 pub mod churn;
 pub mod driver;
@@ -38,10 +38,7 @@ pub mod service;
 pub mod shard;
 
 pub use churn::{run_lockstep_churn, ChurnAction, ChurnSchedule};
-pub use driver::{
-    run_lockstep, run_lockstep_over, run_lockstep_telemetry_over, run_over_transports,
-    run_over_transports_telemetry, run_threads, DistResult, TelemetryAttach,
-};
+pub use driver::{run_lockstep, run_over_transports, DistResult, Run, TelemetryAttach};
 pub use evolve::{evolve_hard, hard_suite, solve_effort, EvolveConfig};
 pub use node::{DistConfig, NodeDriver, NodeEvent, NodeResult};
 pub use perturb::{PerturbAction, Perturbator};

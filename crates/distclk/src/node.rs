@@ -401,6 +401,11 @@ impl<'a, T: Transport> NodeDriver<'a, T> {
         self.best_len
     }
 
+    /// Best tour so far.
+    pub fn best_tour(&self) -> &Tour {
+        &self.best_tour
+    }
+
     /// Whether the node has decided to stop.
     pub fn terminated(&self) -> bool {
         self.terminated

@@ -1125,17 +1125,12 @@ fn solve_job(
     let ship = |node: &NodeDriver<MemoryEndpoint>, last: &mut i64| {
         if node.best_length() < *last {
             *last = node.best_length();
-            let blob = node.checkpoint();
-            if let Ok(Message::TourFound { length, order, .. }) =
-                p2p::codec::read_frame(&mut blob.as_slice())
-            {
-                let _ = tx.send(Message::JobImproved {
-                    from: worker,
-                    job,
-                    length,
-                    order,
-                });
-            }
+            let _ = tx.send(Message::JobImproved {
+                from: worker,
+                job,
+                length: *last,
+                order: node.best_tour().order().to_vec(),
+            });
         }
     };
     ship(&node, &mut last);
@@ -1143,10 +1138,14 @@ fn solve_job(
         if let Some(reason) = cancel.get() {
             break Some(reason);
         }
-        if !node.step() {
+        // Ship the step's result even when it is the last one: the
+        // round that spends the budget or hits the target must reach
+        // the client as an improvement, not only in `JobDone`.
+        let live = node.step();
+        ship(&node, &mut last);
+        if !live {
             break None;
         }
-        ship(&node, &mut last);
     };
     let result = node.finish();
     // Attribute a natural stop to whichever bound actually tripped:
@@ -1557,6 +1556,34 @@ mod tests {
             "stream not strictly improving: {improvements:?}"
         );
         assert_eq!(*improvements.last().unwrap(), length);
+        svc.shutdown();
+    }
+
+    #[test]
+    fn natural_stop_streams_the_last_round() {
+        // The round that spends the budget often improves the tour; it
+        // must reach the client as an `Improved` before `Done`.
+        let svc = SolverService::start(ServiceConfig {
+            workers: 1,
+            ..Default::default()
+        });
+        for seed in 0..20 {
+            let inst = tsp_core::generate::uniform(200, 100_000.0, seed);
+            let pts: Vec<(f64, f64)> = inst.points().iter().map(|p| (p.x, p.y)).collect();
+            for kicks in [2, 3, 5] {
+                let spec = JobSpec::new(JobPayload::Json(points_to_json(&pts)))
+                    .seed(seed)
+                    .kicks(kicks);
+                let (reason, length, _, improvements) =
+                    svc.submit(seed, spec).unwrap().wait().unwrap();
+                assert_eq!(reason, DoneReason::Budget);
+                assert_eq!(
+                    improvements.last(),
+                    Some(&length),
+                    "seed {seed} kicks {kicks}: Done {length} never streamed"
+                );
+            }
+        }
         svc.shutdown();
     }
 

@@ -5,7 +5,7 @@
 //! inbound side of the deterministic lockstep driver, so every run
 //! here is exactly reproducible from its seed.
 
-use distclk::{run_lockstep, run_lockstep_over, DistConfig};
+use distclk::{run_lockstep, DistConfig, Run};
 use lk::Budget;
 use p2p::fault::{FaultConfig, FaultyTransport};
 use p2p::memory::InMemoryNetwork;
@@ -34,7 +34,9 @@ fn run_with_faults(
         .into_iter()
         .map(|e| FaultyTransport::new(e, fcfg))
         .collect();
-    run_lockstep_over(inst, nl, cfg, wrapped, Some(stats))
+    Run::new(inst, nl, cfg)
+        .over(wrapped, Some(stats))
+        .lockstep()
 }
 
 /// ISSUE acceptance criterion: at a 20% message drop rate on the

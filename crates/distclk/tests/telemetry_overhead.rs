@@ -10,9 +10,7 @@
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use distclk::{
-    run_lockstep_telemetry_over, DistConfig, TelemetryAttach,
-};
+use distclk::{DistConfig, Run, TelemetryAttach};
 use lk::Budget;
 use p2p::{InMemoryNetwork, TelemetryStore};
 use tsp_core::{generate, NeighborLists};
@@ -42,11 +40,13 @@ fn run_once(
 ) -> (Duration, i64, Vec<u32>) {
     let mut cfg = cfg();
     cfg.telemetry_every = telemetry_every;
-    let telemetry = (telemetry_every > 0)
-        .then(|| (TelemetryStore::shared(), TelemetryAttach::AllNodes));
     let (endpoints, stats) = InMemoryNetwork::build(cfg.nodes, cfg.topology);
     let start = Instant::now();
-    let res = run_lockstep_telemetry_over(inst, nl, &cfg, endpoints, Some(stats), telemetry);
+    let mut run = Run::new(inst, nl, &cfg).over(endpoints, Some(stats));
+    if telemetry_every > 0 {
+        run = run.telemetry(TelemetryStore::shared(), TelemetryAttach::AllNodes);
+    }
+    let res = run.lockstep();
     (start.elapsed(), res.best_length, res.best_tour.order().to_vec())
 }
 
@@ -108,14 +108,10 @@ fn callers_store_handle_sees_the_run() {
     c.telemetry_every = 1;
     let store = TelemetryStore::shared();
     let (endpoints, stats) = InMemoryNetwork::build(c.nodes, c.topology);
-    run_lockstep_telemetry_over(
-        &inst,
-        &nl,
-        &c,
-        endpoints,
-        Some(stats),
-        Some((Arc::clone(&store), TelemetryAttach::AllNodes)),
-    );
+    Run::new(&inst, &nl, &c)
+        .over(endpoints, Some(stats))
+        .telemetry(Arc::clone(&store), TelemetryAttach::AllNodes)
+        .lockstep();
     assert_eq!(store.nodes().len(), NODES);
     assert!(store.merged_snapshot().counter("telemetry.frames") >= NODES as u64);
 }

@@ -1,13 +1,15 @@
-//! The bootstrap hub (paper §2.2).
+//! The hub (paper §2.2): [`LifecycleHub`].
 //!
-//! The hub is the only central component and is used *only* during
-//! network initialization: each node connects, announces its listen
-//! address, and receives its hypercube position plus the list of
-//! neighbors that have already joined. The joining node then dials
-//! those neighbors directly; nodes joining later dial it, and the TCP
-//! layer registers the reverse edges — so early nodes start with sparse
-//! lists that fill in as the cube completes, exactly as the paper
-//! describes.
+//! The hub is the only central component. It bootstraps the network:
+//! each node connects, announces its listen address, and receives its
+//! hypercube position plus the list of neighbors that have already
+//! joined. The joining node then dials those neighbors directly; nodes
+//! joining later dial it, and the TCP layer registers the reverse
+//! edges — so early nodes start with sparse lists that fill in as the
+//! cube completes, exactly as the paper describes. Beyond the paper,
+//! the same hub keeps serving after bootstrap: deaths and rejoins,
+//! telemetry scrapes, solve jobs and hub migration (see
+//! [`LifecycleHub`]).
 //!
 //! The bootstrap protocol is a one-request/one-response text exchange
 //! (`JOIN <addr>` → `ID <id> EXPECT <n> NEIGHBORS <id>@<addr>;…`),
@@ -32,140 +34,6 @@ use crate::tcp::{TcpConfig, TcpEndpoint};
 use crate::telemetry::TelemetryStore;
 use crate::topology::{Membership, Topology};
 use crate::NetError;
-
-/// A running hub, serving until `expected` nodes have joined.
-pub struct Hub {
-    addr: SocketAddr,
-    thread: Option<JoinHandle<()>>,
-    obs: Obs,
-}
-
-impl Hub {
-    /// Start a hub on `addr` (port 0 for ephemeral) for a network of
-    /// `expected` nodes with the given topology. Bootstrap is silent;
-    /// use [`Hub::start_with`] to trace joins and rejections.
-    pub fn start(addr: &str, expected: usize, topology: Topology) -> Result<Hub, NetError> {
-        Self::start_with(addr, expected, topology, Obs::disabled())
-    }
-
-    /// [`Hub::start`] with an observability handle: every accepted join
-    /// (`hub.join`), rejected request (`hub.reject`), and bootstrap
-    /// completion (`hub.complete`) is recorded as a structured event
-    /// instead of the old `eprintln!` noise.
-    pub fn start_with(
-        addr: &str,
-        expected: usize,
-        topology: Topology,
-        obs: Obs,
-    ) -> Result<Hub, NetError> {
-        let listener = TcpListener::bind(addr)?;
-        let addr = listener.local_addr()?;
-        let loop_obs = obs.clone();
-        let thread = std::thread::Builder::new()
-            .name("p2p-hub".into())
-            .spawn(move || hub_loop(listener, expected, topology, loop_obs))
-            .expect("spawn hub thread");
-        Ok(Hub {
-            addr,
-            thread: Some(thread),
-            obs,
-        })
-    }
-
-    /// Address nodes should dial.
-    pub fn addr(&self) -> SocketAddr {
-        self.addr
-    }
-
-    /// The hub's observability handle (disabled for [`Hub::start`]).
-    pub fn obs(&self) -> &Obs {
-        &self.obs
-    }
-
-    /// Wait until all expected nodes joined and the hub retired.
-    pub fn join(mut self) {
-        if let Some(t) = self.thread.take() {
-            let _ = t.join();
-        }
-    }
-}
-
-fn hub_loop(listener: TcpListener, expected: usize, topology: Topology, obs: Obs) {
-    let c_joins = obs.counter("hub.joins");
-    let c_rejects = obs.counter("hub.rejects");
-    let mut joined: Vec<SocketAddr> = Vec::with_capacity(expected);
-    while joined.len() < expected {
-        let (stream, _) = match listener.accept() {
-            Ok(x) => x,
-            Err(_) => return,
-        };
-        match serve_one(stream, &mut joined, expected, topology) {
-            Ok((id, neighbors)) => {
-                c_joins.incr();
-                obs.event(
-                    "hub.join",
-                    &[
-                        ("id", Value::U(id as u64)),
-                        ("neighbors", Value::U(neighbors as u64)),
-                        ("joined", Value::U(joined.len() as u64)),
-                    ],
-                );
-            }
-            Err(e) => {
-                // A malformed join attempt doesn't kill the hub.
-                c_rejects.incr();
-                obs.event("hub.reject", &[("error", Value::S(e.to_string()))]);
-            }
-        }
-    }
-    obs.event("hub.complete", &[("nodes", Value::U(joined.len() as u64))]);
-}
-
-fn serve_one(
-    stream: TcpStream,
-    joined: &mut Vec<SocketAddr>,
-    expected: usize,
-    topology: Topology,
-) -> Result<(NodeId, usize), NetError> {
-    // Bound the request read and the reply write: a connector that
-    // never sends its JOIN line (or never drains the reply) must not
-    // wedge the hub for everyone else.
-    stream
-        .set_read_timeout(Some(TcpConfig::default().handshake_timeout))
-        .ok();
-    stream
-        .set_write_timeout(Some(TcpConfig::default().handshake_timeout))
-        .ok();
-    let mut reader = BufReader::new(stream.try_clone()?);
-    let mut line = String::new();
-    reader.read_line(&mut line)?;
-    let parts: Vec<&str> = line.trim().splitn(2, ' ').collect();
-    if parts.len() != 2 || parts[0] != "JOIN" {
-        return Err(NetError::Codec(format!("bad hub request {line:?}")));
-    }
-    let listen: SocketAddr = parts[1]
-        .parse()
-        .map_err(|e| NetError::Codec(format!("bad address {:?}: {e}", parts[1])))?;
-    let id = joined.len() as NodeId;
-    // Neighbors in the final topology that already joined.
-    let neighbors: Vec<String> = topology
-        .neighbors(id, expected)
-        .into_iter()
-        .filter(|&m| m < id)
-        .map(|m| format!("{m}@{}", joined[m]))
-        .collect();
-    let mut w = stream;
-    writeln!(
-        w,
-        "ID {id} EXPECT {expected} NEIGHBORS {}",
-        neighbors.join(";")
-    )?;
-    w.flush()?;
-    // Commit the slot only after the reply went out: a client that
-    // disconnected mid-handshake never joined and its id is reused.
-    joined.push(listen);
-    Ok((id, neighbors.len()))
-}
 
 /// A node's view after bootstrap: its id and the already-joined
 /// neighbors to dial.
@@ -195,19 +63,7 @@ pub fn join_via_hub_with(
     listen: SocketAddr,
     cfg: &TcpConfig,
 ) -> Result<JoinInfo, NetError> {
-    let mut backoff = cfg.backoff_base;
-    let mut last_err = NetError::Closed;
-    for attempt in 0..=cfg.connect_retries {
-        if attempt > 0 {
-            std::thread::sleep(backoff);
-            backoff = (backoff * 2).min(cfg.backoff_max);
-        }
-        match join_once(hub, listen, cfg) {
-            Ok(info) => return Ok(info),
-            Err(e) => last_err = e,
-        }
-    }
-    Err(last_err)
+    retry_request(cfg, || join_once(hub, listen, cfg))
 }
 
 fn join_once(hub: SocketAddr, listen: SocketAddr, cfg: &TcpConfig) -> Result<JoinInfo, NetError> {
@@ -251,10 +107,11 @@ fn parse_join_reply(line: &str) -> Result<JoinInfo, NetError> {
 }
 
 /// Convenience for tests and examples: bootstrap a full TCP network of
-/// `n` [`crate::tcp::TcpEndpoint`]s through a hub on localhost, wiring
-/// all topology edges, and wait until every edge is live.
+/// `n` [`crate::tcp::TcpEndpoint`]s through a [`LifecycleHub`] on
+/// localhost, wiring all topology edges, and stop the hub once every
+/// node has joined.
 pub fn bootstrap_local(n: usize, topology: Topology) -> Result<Vec<crate::tcp::TcpEndpoint>, NetError> {
-    let hub = Hub::start("127.0.0.1:0", n, topology)?;
+    let mut hub = LifecycleHub::start("127.0.0.1:0", n, topology)?;
     let hub_addr = hub.addr();
     let mut endpoints = Vec::with_capacity(n);
     for _ in 0..n {
@@ -268,7 +125,7 @@ pub fn bootstrap_local(n: usize, topology: Topology) -> Result<Vec<crate::tcp::T
         }
         endpoints.push(ep);
     }
-    hub.join();
+    hub.stop();
     Ok(endpoints)
 }
 
@@ -317,10 +174,11 @@ pub trait JobHandler: Send + Sync {
 /// layer attaches).
 type JobHandlerSlot = Arc<Mutex<Option<Arc<dyn JobHandler>>>>;
 
-/// A hub promoted from one-shot bootstrapper to lifecycle manager: it
-/// keeps serving after bootstrap, accepting three request kinds:
+/// The hub: it bootstraps the network and keeps serving after
+/// bootstrap, accepting three membership request kinds:
 ///
-/// - `JOIN <addr>` — bootstrap join, exactly as [`Hub`];
+/// - `JOIN <addr>` — bootstrap join: the lowest free id, plus the
+///   topology neighbors that already joined (see the module docs);
 /// - `DOWN <reporter> <dead>` — a node reports a dead peer; the hub
 ///   rewires the topology around the hole (dimension-neighbor
 ///   fallback, see [`Membership::fail`]) and answers
@@ -614,7 +472,9 @@ fn serve_lifecycle(
                 neighbors.join(";")
             )?;
             w.flush()?;
-            // Commit only after the reply went out (see `serve_one`).
+            // Commit the slot only after the reply went out: a client
+            // that disconnected mid-handshake never joined and its id
+            // is reused.
             st.joined[id] = Some(listen);
             obs.counter("hub.joins").incr();
             obs.event(
@@ -1300,14 +1160,14 @@ mod tests {
 
     #[test]
     fn hub_assigns_sequential_ids_and_earlier_neighbors() {
-        let hub = Hub::start("127.0.0.1:0", 4, Topology::Ring).unwrap();
+        let mut hub = LifecycleHub::start("127.0.0.1:0", 4, Topology::Ring).unwrap();
         let addr = hub.addr();
         let mut infos = Vec::new();
         for i in 0..4 {
             let listen: SocketAddr = format!("127.0.0.1:{}", 40000 + i).parse().unwrap();
             infos.push(join_via_hub(addr, listen).unwrap());
         }
-        hub.join();
+        hub.stop();
         assert_eq!(infos[0].id, 0);
         assert!(infos[0].neighbors.is_empty());
         // Ring: node 3 neighbors {2, 0}, both already joined.
@@ -1320,7 +1180,8 @@ mod tests {
     #[test]
     fn hub_records_join_and_reject_events() {
         let obs = Obs::for_node(u32::MAX);
-        let hub = Hub::start_with("127.0.0.1:0", 2, Topology::Ring, obs.clone()).unwrap();
+        let mut hub =
+            LifecycleHub::start_with("127.0.0.1:0", 2, Topology::Ring, obs.clone()).unwrap();
         let addr = hub.addr();
         // A garbage request first: must be rejected, not crash the hub.
         {
@@ -1332,7 +1193,7 @@ mod tests {
         std::thread::sleep(std::time::Duration::from_millis(50));
         join_via_hub(addr, "127.0.0.1:40020".parse().unwrap()).unwrap();
         join_via_hub(addr, "127.0.0.1:40021".parse().unwrap()).unwrap();
-        hub.join();
+        hub.stop();
         let snap = obs.snapshot();
         assert_eq!(snap.counter("hub.joins"), 2);
         assert_eq!(snap.counter("hub.rejects"), 1);
@@ -1367,9 +1228,9 @@ mod tests {
 
     #[test]
     fn silent_connector_does_not_wedge_hub() {
-        let hub = Hub::start("127.0.0.1:0", 2, Topology::Ring).unwrap();
+        let mut hub = LifecycleHub::start("127.0.0.1:0", 2, Topology::Ring).unwrap();
         let addr = hub.addr();
-        // Connect and say nothing: serve_one must time out and move on.
+        // Connect and say nothing: the hub must time out and move on.
         let _silent = TcpStream::connect(addr).unwrap();
         // Wait longer than the hub's handshake timeout so the joins
         // don't race the silent connector's eviction.
@@ -1380,7 +1241,7 @@ mod tests {
         let a = join_via_hub_with(addr, "127.0.0.1:40010".parse().unwrap(), &cfg).unwrap();
         let b = join_via_hub_with(addr, "127.0.0.1:40011".parse().unwrap(), &cfg).unwrap();
         assert_eq!((a.id, b.id), (0, 1));
-        hub.join();
+        hub.stop();
     }
 
     /// Satellite bugfix: malformed and truncated JOIN lines, and a
@@ -1388,7 +1249,7 @@ mod tests {
     /// the `expected` slots — the full network still bootstraps.
     #[test]
     fn bad_handshakes_do_not_consume_slots() {
-        let hub = Hub::start("127.0.0.1:0", 3, Topology::Ring).unwrap();
+        let mut hub = LifecycleHub::start("127.0.0.1:0", 3, Topology::Ring).unwrap();
         let addr = hub.addr();
         {
             // Truncated request (no newline), then disconnect.
@@ -1410,7 +1271,7 @@ mod tests {
             let listen: SocketAddr = format!("127.0.0.1:{}", 40030 + i).parse().unwrap();
             ids.push(join_via_hub(addr, listen).unwrap().id);
         }
-        hub.join();
+        hub.stop();
         ids.sort_unstable();
         assert_eq!(ids, vec![0, 1, 2]);
     }

@@ -12,9 +12,9 @@
 //!   one process. Used by the simulation driver and by deterministic
 //!   tests; message *semantics* are identical to TCP.
 //! - [`tcp`] — real TCP sockets with length-prefixed frames and a
-//!   hand-rolled binary codec ([`codec`]), plus the hub bootstrap
-//!   protocol ([`hub`]). This is the deployment path the paper's Java
-//!   system used.
+//!   hand-rolled binary codec ([`codec`]), plus the hub's bootstrap
+//!   and lifecycle protocol ([`hub`]). This is the deployment path the
+//!   paper's Java system used.
 //!
 //! Topologies beyond the paper's hypercube (ring, complete, star) are in
 //! [`topology`] for the ablation experiments.

@@ -7,7 +7,7 @@
 //! cargo run --release --example distributed_solve
 //! ```
 
-use dist_clk::distclk::{run_threads, DistConfig};
+use dist_clk::distclk::{DistConfig, Run};
 use dist_clk::lk::{Budget, ChainedLk, ChainedLkConfig, KickStrategy};
 use dist_clk::p2p::Topology;
 use dist_clk::tsp_core::{generate, NeighborLists};
@@ -46,7 +46,7 @@ fn main() {
         seed: 1,
         ..Default::default()
     };
-    let dist = run_threads(&inst, &neighbors, &cfg);
+    let dist = Run::new(&inst, &neighbors, &cfg).threads();
     println!(
         "DistCLK (8):   length {} ({} broadcasts, {} messages, {:.2}s wall)",
         dist.best_length,

@@ -1,6 +1,8 @@
-//! Deployable cluster binary: run the bootstrap hub or a compute node
-//! as separate OS processes, communicating over real TCP — the paper's
-//! deployment shape (§2.2: hub + 8 nodes on a switched Ethernet).
+//! Deployable cluster binary: run the hub or a compute node as separate
+//! OS processes, communicating over real TCP — the paper's deployment
+//! shape (§2.2: hub + 8 nodes on a switched Ethernet). The hub keeps
+//! serving `DOWN`, `REJOIN`, `METRICS` and `STATUS` after bootstrap
+//! until it is killed.
 //!
 //! ```text
 //! # terminal 1: the hub for an 8-node hypercube
@@ -18,7 +20,7 @@ use std::time::Duration;
 
 use dist_clk::distclk::{DistConfig, NodeDriver};
 use dist_clk::lk::Budget;
-use dist_clk::p2p::hub::{join_via_hub, Hub};
+use dist_clk::p2p::hub::{join_via_hub, LifecycleHub};
 use dist_clk::p2p::tcp::TcpEndpoint;
 use dist_clk::p2p::{Topology, Transport};
 use dist_clk::tsp_core::{generate, tsplib, Instance, NeighborLists};
@@ -65,10 +67,12 @@ fn main() {
                 .get(3)
                 .and_then(|s| Topology::by_name(s))
                 .unwrap_or(Topology::Hypercube);
-            let hub = Hub::start(bind, expected, topology).expect("start hub");
+            let hub = LifecycleHub::start(bind, expected, topology).expect("start hub");
             println!("hub listening on {} for {expected} nodes ({topology:?})", hub.addr());
-            hub.join();
-            println!("all nodes joined; hub retired");
+            // Serve until killed; the hub's own thread answers every request.
+            loop {
+                std::thread::park();
+            }
         }
         Some("node") => {
             let hub_addr = args

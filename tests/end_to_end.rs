@@ -1,7 +1,7 @@
 //! Cross-crate integration tests: the full pipeline from instance
 //! generation through the distributed algorithm, over both transports.
 
-use dist_clk::distclk::{run_lockstep, run_threads, DistConfig};
+use dist_clk::distclk::{run_lockstep, DistConfig, Run};
 use dist_clk::lk::{Budget, ChainedLk, ChainedLkConfig, KickStrategy};
 use dist_clk::p2p::Topology;
 use dist_clk::tsp_core::{generate, NeighborLists};
@@ -93,7 +93,7 @@ fn threads_all_strategies_and_topologies() {
             ..Default::default()
         };
         cfg.clk.kick = strategy;
-        let res = run_threads(&inst, &nl, &cfg);
+        let res = Run::new(&inst, &nl, &cfg).threads();
         assert!(res.best_tour.is_valid(), "{strategy:?}/{topology:?}");
         assert_eq!(res.best_tour.length(&inst), res.best_length);
     }
