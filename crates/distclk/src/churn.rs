@@ -4,8 +4,8 @@
 //! rounds. Kills are *crashes*: the victim sends no `Leave`; survivors
 //! observe the death through the transport's peer-down channel (the
 //! in-memory analogue of the TCP liveness timeout) and the topology is
-//! repaired with the same [`Membership`] rule the TCP lifecycle hub
-//! uses — the dead node's surviving neighbors adopt each other. A
+//! repaired with the [`Membership`] rule — the dead node's surviving
+//! neighbors adopt each other. A
 //! revived node rejoins through [`Membership::rejoin`] and resyncs
 //! state from its neighborhood via `BestRequest`/`BestReply` before
 //! its first CLK iteration (see [`NodeDriver::new_rejoining`]).
@@ -190,8 +190,8 @@ impl<'s> Churn<'s> {
                         }
                     }
                     // Self-healing: the victim's surviving neighbors
-                    // adopt each other (clique repair, same rule as the
-                    // lifecycle hub's REPAIR assignments).
+                    // adopt each other (clique repair, the same rule as
+                    // `Membership::fail`).
                     for &a in &group {
                         if let Some(driver) = drivers[a].as_mut() {
                             for &b in &group {

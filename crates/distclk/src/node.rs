@@ -456,13 +456,13 @@ impl<'a, T: Transport> NodeDriver<'a, T> {
     /// Count one loop round against the telemetry cadence and ship a
     /// frame when due. No-op (not even a clock read) when
     /// `telemetry_every` is zero.
-    fn maybe_ship_telemetry(&mut self) {
+    fn maybe_send_telemetry(&mut self) {
         if self.telemetry_every == 0 {
             return;
         }
         self.telemetry_rounds += 1;
         if self.telemetry_rounds.is_multiple_of(self.telemetry_every) {
-            self.ship_telemetry_frame();
+            self.send_telemetry_frame();
         }
     }
 
@@ -471,7 +471,7 @@ impl<'a, T: Transport> NodeDriver<'a, T> {
     /// it to the attached store — or, without one, send it to the node
     /// currently holding the lifecycle-hub role, which aggregates on
     /// the cluster's behalf.
-    fn ship_telemetry_frame(&mut self) {
+    fn send_telemetry_frame(&mut self) {
         let Some(shipper) = self.shipper.as_mut() else {
             return;
         };
@@ -861,7 +861,7 @@ impl<'a, T: Transport> NodeDriver<'a, T> {
         // Close the round span *before* shipping so this round's span
         // event rides in this round's frame, not the next one's.
         round_span.end();
-        self.maybe_ship_telemetry();
+        self.maybe_send_telemetry();
         true
     }
 
@@ -1227,7 +1227,7 @@ impl<'a, T: Transport> NodeDriver<'a, T> {
         // One last frame so the live view converges to the final state
         // (a crash ships nothing — exactly like a killed process).
         if !aborted {
-            self.ship_telemetry_frame();
+            self.send_telemetry_frame();
         }
         NodeResult {
             id: self.id,

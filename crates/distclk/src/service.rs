@@ -23,8 +23,7 @@
 //!   `Job*` frames (codec tags 12–16), ids minted by
 //!   [`p2p::job_id`]`(client, seq)` following the PR 2 broadcast-id
 //!   template. The TCP front-end ([`ServiceJobHandler`]) rides the
-//!   lifecycle hub's `JOB` command and is MOVED-fenced after failover
-//!   exactly like `METRICS`/`STATUS`.
+//!   lifecycle hub's `JOB` command.
 //! - **Churn survival.** The supervisor remembers each job's last
 //!   streamed best; when a worker dies the job is resubmitted to a
 //!   survivor with that tour as a checkpoint (PR 4's
@@ -1323,9 +1322,7 @@ impl Drop for SolverService {
 /// Adapter registering a [`SolverService`] as the lifecycle hub's
 /// [`JobHandler`]: `p2p::hub::submit_job` connections stream
 /// `JobAccept`/`JobImproved*`/`JobDone` frames mirroring the handle's
-/// updates. Attach with [`ServiceJobHandler::attach`]; after a hub
-/// failover the old holder answers `MOVED` and submissions must chase
-/// the new holder, exactly like `METRICS`/`STATUS` scrapes.
+/// updates. Attach with [`ServiceJobHandler::attach`].
 pub struct ServiceJobHandler {
     service: Arc<SolverService>,
 }
@@ -1610,6 +1607,26 @@ mod tests {
         assert!(ok.wait().is_some());
         let snapshot = svc.obs().snapshot();
         assert_eq!(snapshot.counter(kinds::C_SVC_REJECTED), 2);
+        svc.shutdown();
+    }
+
+    /// A 2-city TSPLIB payload is an admission error, not a supervisor
+    /// panic: the next tenant's job is still accepted and solved.
+    #[test]
+    fn bad_tsplib_payload_leaves_service_up() {
+        let svc = SolverService::start(ServiceConfig {
+            workers: 1,
+            ..Default::default()
+        });
+        let two = "DIMENSION: 2\nEDGE_WEIGHT_TYPE: EUC_2D\nNODE_COORD_SECTION\n1 0 0\n2 1 1\nEOF\n";
+        let err = svc
+            .submit(1, JobSpec::new(JobPayload::Tsplib(two.into())))
+            .unwrap_err();
+        assert!(err.contains("bad payload"), "{err}");
+        let ok = svc
+            .submit(2, JobSpec::new(grid_payload(16)).kicks(2))
+            .unwrap();
+        assert!(ok.wait().is_some());
         svc.shutdown();
     }
 }

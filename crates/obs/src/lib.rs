@@ -150,7 +150,8 @@ struct ObsInner {
     events: EventRing,
     start: Instant,
     /// Next span sequence number; span ids are `(node << 32) | seq`,
-    /// unique across the cluster like broadcast ids.
+    /// unique across the cluster like broadcast ids. Starts at 1 so
+    /// node 0's first span is not id 0, which means "no parent".
     span_seq: std::sync::atomic::AtomicU64,
 }
 
@@ -184,7 +185,7 @@ impl Obs {
                 registry: Registry::new(),
                 events: EventRing::with_capacity(event_capacity),
                 start: Instant::now(),
-                span_seq: std::sync::atomic::AtomicU64::new(0),
+                span_seq: std::sync::atomic::AtomicU64::new(1),
             })),
         }
     }
@@ -562,26 +563,31 @@ mod tests {
     #[cfg(feature = "enabled")]
     #[test]
     fn spans_record_ids_parents_and_broadcast_correlation() {
-        let obs = Obs::for_node(3);
-        let mut root = obs.span("clk.call");
-        root.correlate_broadcast(0xBEEF);
-        let root_id = root.id();
-        assert_eq!(root_id >> 32, 3, "span id embeds the node");
-        let child = root.child("clk.kick");
-        let child_id = child.id();
-        assert_ne!(child_id, root_id);
-        child.end();
-        root.end();
-        let events = obs.events();
-        assert_eq!(events.len(), 2, "one event per closed span");
-        // Child closed first.
-        assert_eq!(events[0].kind, "clk.kick");
-        assert_eq!(events[0].field_u64("span"), Some(child_id));
-        assert_eq!(events[0].field_u64("parent"), Some(root_id));
-        assert_eq!(events[1].kind, "clk.call");
-        assert_eq!(events[1].field_u64("parent"), Some(0));
-        assert_eq!(events[1].field_u64("bcast"), Some(0xBEEF));
-        assert!(events[1].field_u64("dur_ns").is_some());
+        // Node 0 included: its first span must not be id 0, which means
+        // "no parent", or its children would export as roots.
+        for node in [3, 0] {
+            let obs = Obs::for_node(node);
+            let mut root = obs.span("clk.call");
+            root.correlate_broadcast(0xBEEF);
+            let root_id = root.id();
+            assert_ne!(root_id, 0, "node {node}");
+            assert_eq!(root_id >> 32, node as u64, "span id embeds the node");
+            let child = root.child("clk.kick");
+            let child_id = child.id();
+            assert_ne!(child_id, root_id);
+            child.end();
+            root.end();
+            let events = obs.events();
+            assert_eq!(events.len(), 2, "one event per closed span");
+            // Child closed first.
+            assert_eq!(events[0].kind, "clk.kick");
+            assert_eq!(events[0].field_u64("span"), Some(child_id));
+            assert_eq!(events[0].field_u64("parent"), Some(root_id));
+            assert_eq!(events[1].kind, "clk.call");
+            assert_eq!(events[1].field_u64("parent"), Some(0));
+            assert_eq!(events[1].field_u64("bcast"), Some(0xBEEF));
+            assert!(events[1].field_u64("dur_ns").is_some());
+        }
     }
 
     #[test]

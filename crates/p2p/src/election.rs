@@ -2,9 +2,9 @@
 //! bully-style election.
 //!
 //! The paper's hub is "only a central component during bootstrap"
-//! (§2.2), but the [`crate::hub::LifecycleHub`] extended it into a
-//! long-lived repair coordinator — a single point of repair. This
-//! module makes the hub role migratable:
+//! (§2.2). Repairs after bootstrap are coordinated by a hub *role*
+//! that one node holds; held by a fixed node it would be a single
+//! point of repair. This module makes the role migratable:
 //!
 //! * [`MembershipLog`] — an append-only log of JOIN / DOWN / REJOIN /
 //!   REPAIR facts. Every node keeps a [`Replica`]; entries gossip

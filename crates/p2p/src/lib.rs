@@ -13,7 +13,7 @@
 //!   tests; message *semantics* are identical to TCP.
 //! - [`tcp`] — real TCP sockets with length-prefixed frames and a
 //!   hand-rolled binary codec ([`codec`]), plus the hub's bootstrap
-//!   and lifecycle protocol ([`hub`]). This is the deployment path the
+//!   protocol ([`hub`]). This is the deployment path the
 //!   paper's Java system used.
 //!
 //! Topologies beyond the paper's hypercube (ring, complete, star) are in

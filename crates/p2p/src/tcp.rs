@@ -42,9 +42,6 @@ use crate::message::{Message, NodeId};
 use crate::transport::Transport;
 use crate::NetError;
 
-/// Callback invoked (outside all locks) whenever a peer goes down.
-type DownHook = Box<dyn Fn(NodeId) + Send>;
-
 /// Timeouts and retry policy of a [`TcpEndpoint`].
 #[derive(Debug, Clone)]
 pub struct TcpConfig {
@@ -76,14 +73,6 @@ pub struct TcpConfig {
     /// peers refresh their clocks (pongs are answered at the reader
     /// level and never reach the application inbox).
     pub liveness_timeout: Option<Duration>,
-    /// Hub-silence threshold for the failover-aware self-healer
-    /// ([`crate::hub::attach_self_healing_with_failover`]): when a
-    /// lifecycle request to the hub fails and the last successful hub
-    /// exchange is older than this, the hub is declared silent and the
-    /// healer asks its failover callback for a successor address.
-    /// `None` (the default) never fails over — requests to a dead hub
-    /// simply error, exactly as pre-migration builds.
-    pub hub_liveness_timeout: Option<Duration>,
 }
 
 impl Default for TcpConfig {
@@ -97,7 +86,6 @@ impl Default for TcpConfig {
             backoff_max: Duration::from_secs(1),
             outbound_queue: 256,
             liveness_timeout: None,
-            hub_liveness_timeout: None,
         }
     }
 }
@@ -119,13 +107,6 @@ impl TcpConfig {
     /// Enable the failure detector with the given timeout.
     pub fn with_liveness(mut self, timeout: Duration) -> Self {
         self.liveness_timeout = Some(timeout);
-        self
-    }
-
-    /// Enable hub-silence detection with the given threshold (see
-    /// [`TcpConfig::hub_liveness_timeout`]).
-    pub fn with_hub_liveness(mut self, timeout: Duration) -> Self {
-        self.hub_liveness_timeout = Some(timeout);
         self
     }
 }
@@ -165,10 +146,6 @@ struct Shared {
     peer_downs: Mutex<Vec<NodeId>>,
     /// Monotonic link-generation counter (see [`Peer::gen`]).
     link_gen: AtomicU64,
-    /// Optional callback invoked (outside all locks) whenever a peer
-    /// goes down — the hub lifecycle client hangs off this to report
-    /// deaths and fetch repair assignments.
-    down_hook: Mutex<Option<DownHook>>,
     /// Set on shutdown; accept, handshake, prober, reader, and writer
     /// threads exit.
     shutdown: AtomicBool,
@@ -225,9 +202,8 @@ pub struct TcpEndpoint {
 }
 
 /// A cloneable control handle onto a live [`TcpEndpoint`]: lets
-/// auxiliary threads (e.g. the hub lifecycle client applying repair
-/// assignments) rewire peers while the endpoint itself is owned by the
-/// node loop.
+/// auxiliary threads rewire peers or read the prober's clock
+/// estimates while the endpoint itself is owned by the node loop.
 #[derive(Clone)]
 pub struct TcpHandle {
     shared: Arc<Shared>,
@@ -309,7 +285,6 @@ impl TcpEndpoint {
             clock_stats: Mutex::new(HashMap::new()),
             peer_downs: Mutex::new(Vec::new()),
             link_gen: AtomicU64::new(0),
-            down_hook: Mutex::new(None),
             shutdown: AtomicBool::new(false),
             inbox_tx,
             readers: Mutex::new(Vec::new()),
@@ -366,14 +341,6 @@ impl TcpEndpoint {
         TcpHandle {
             shared: Arc::clone(&self.shared),
         }
-    }
-
-    /// Install a callback invoked whenever a peer is declared down
-    /// (liveness timeout, connection loss, or explicit disconnect).
-    /// Called outside the endpoint's locks; replaces any previous
-    /// hook.
-    pub fn set_peer_down_hook(&self, hook: impl Fn(NodeId) + Send + 'static) {
-        *self.shared.down_hook.lock() = Some(Box::new(hook));
     }
 
     /// Stop all threads and drop connections. Bounded even with
@@ -500,10 +467,9 @@ fn register_peer(shared: &Arc<Shared>, peer: NodeId, stream: TcpStream) {
 
 /// Forget a peer (liveness timeout, connection error, or departure).
 /// The socket is closed, which terminates its reader and writer
-/// threads; the death is queued for [`Transport::take_peer_downs`] and
-/// the down hook is invoked — both only on the first drop of a link,
-/// so concurrent detection paths (prober, reader, writer) report each
-/// death once.
+/// threads; the death is queued for [`Transport::take_peer_downs`]
+/// only on the first drop of a link, so concurrent detection paths
+/// (prober, reader, writer) report each death once.
 fn drop_peer(shared: &Shared, peer: NodeId) {
     let known = shared.peers.lock().remove(&peer).map(|p| {
         let _ = p.stream.shutdown(Shutdown::Both);
@@ -517,17 +483,6 @@ fn drop_peer(shared: &Shared, peer: NodeId) {
         shared
             .obs
             .event("tcp.peer_down", &[("peer", Value::U(peer as u64))]);
-        // Take the hook out while calling it so a hook that itself
-        // drops a peer (e.g. a repair that replaces a link) cannot
-        // deadlock on the hook lock.
-        let hook = shared.down_hook.lock().take();
-        if let Some(h) = hook {
-            h(peer);
-            let mut slot = shared.down_hook.lock();
-            if slot.is_none() {
-                *slot = Some(h);
-            }
-        }
     }
 }
 
@@ -1098,29 +1053,20 @@ mod tests {
         assert!(h.clock_stats(1).is_none());
     }
 
-    /// The peer-down hook fires once per death, outside the locks.
+    /// A peer death is reported once, however many detectors see it.
     #[test]
-    fn peer_down_hook_fires_once() {
+    fn peer_down_reported_once() {
         let cfg = TcpConfig::fast_fail().with_liveness(Duration::from_millis(300));
         let mut a = TcpEndpoint::bind_with(0, "127.0.0.1:0", cfg).unwrap();
-        let hits = Arc::new(AtomicUsize::new(0));
-        let hook_hits = Arc::clone(&hits);
-        a.set_peer_down_hook(move |dead| {
-            assert_eq!(dead, 1);
-            hook_hits.fetch_add(1, Ordering::SeqCst);
-        });
         let mut b = TcpEndpoint::bind_with(1, "127.0.0.1:0", TcpConfig::fast_fail()).unwrap();
         a.connect_to(1, b.listen_addr()).unwrap();
         wait_for_neighbors(&b, 1, 2000);
         b.shutdown();
-        assert!(wait_until(
-            || hits.load(Ordering::SeqCst) >= 1,
-            Duration::from_secs(5)
-        ));
+        assert!(wait_until(|| a.neighbors().is_empty(), Duration::from_secs(5)));
         // Reader error and liveness prober may race to detect the same
         // death; the report must still be singular.
         std::thread::sleep(Duration::from_millis(400));
-        assert_eq!(hits.load(Ordering::SeqCst), 1);
         assert_eq!(a.take_peer_downs(), vec![1]);
+        assert!(a.take_peer_downs().is_empty());
     }
 }

@@ -69,8 +69,8 @@ struct StoreState {
 
 /// The hub's cluster-merged live telemetry registry. Shared (via
 /// `Arc`) between the lifecycle hub's scrape commands and whatever
-/// ingests frames — the hub's own TCP handler, or a node driver that
-/// currently holds the hub role in an in-process run.
+/// ingests frames: the node driver that holds the hub role and
+/// receives the frames over the peer transport.
 pub struct TelemetryStore {
     start: Instant,
     state: Mutex<StoreState>,

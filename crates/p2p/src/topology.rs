@@ -5,9 +5,9 @@
 //! experiments. [`Membership`] tracks which nodes are alive in a
 //! long-running network and computes the self-healing repair edges
 //! that keep the topology connected when a node dies (the
-//! dimension-neighbor fallback of the churn issue): the shared rule
-//! used by both the hub lifecycle manager and the lockstep churn
-//! driver, so the two deployments degrade identically.
+//! dimension-neighbor fallback): the one rule applied by the lockstep
+//! churn driver and by every node's membership replica
+//! (`crate::election`), so all deployments degrade identically.
 
 use std::collections::BTreeSet;
 
@@ -91,8 +91,7 @@ impl Topology {
 /// hurt connectivity and keeping them makes repairs idempotent).
 ///
 /// All sets are `BTreeSet`s so iteration order — and therefore every
-/// repair assignment handed out by the hub or the lockstep churn
-/// driver — is deterministic.
+/// repair the churn driver or a replica computes — is deterministic.
 #[derive(Debug, Clone)]
 pub struct Membership {
     topo: Topology,

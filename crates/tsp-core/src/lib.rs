@@ -56,7 +56,7 @@ pub mod tsplib;
 pub mod twolevel;
 
 pub use instance::{Instance, Point};
-pub use metric::{Metric, SoaCoords};
+pub use metric::Metric;
 pub use neighbors::NeighborLists;
 pub use partition::{Partition, PartitionNode, SubInstance};
 pub use tour::Tour;

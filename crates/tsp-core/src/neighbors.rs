@@ -17,7 +17,6 @@
 use crate::grid::Grid;
 use crate::instance::Instance;
 use crate::kdtree::KdTree;
-use crate::metric::SoaCoords;
 
 /// Below this many cities the build stays serial: thread spawn overhead
 /// would dominate the k-NN work.
@@ -98,19 +97,12 @@ impl NeighborLists {
         let n = inst.len();
         let mut flat = vec![0u32; n * k];
         let mut dists = vec![0i64; n * k];
-        // SoA transpose once; the distance-caching loop then runs the
-        // batched kernel instead of n*k dispatched Instance::dist calls.
-        let soa = inst
-            .metric()
-            .is_geometric()
-            .then(|| SoaCoords::from_points(inst.points()));
-        let soa = soa.as_ref();
         let threads = std::thread::available_parallelism()
             .map(|p| p.get())
             .unwrap_or(1)
             .min(16);
         if threads <= 1 || n < PARALLEL_MIN_CITIES {
-            Self::fill_chunk(inst, soa, k, 0, &mut flat, &mut dists, query);
+            Self::fill_chunk(inst, k, 0, &mut flat, &mut dists, query);
         } else {
             let per = n.div_ceil(threads);
             std::thread::scope(|s| {
@@ -119,7 +111,7 @@ impl NeighborLists {
                     .zip(dists.chunks_mut(per * k))
                     .enumerate()
                 {
-                    s.spawn(move || Self::fill_chunk(inst, soa, k, i * per, fc, dc, query));
+                    s.spawn(move || Self::fill_chunk(inst, k, i * per, fc, dc, query));
                 }
             });
         }
@@ -129,7 +121,6 @@ impl NeighborLists {
     /// Fill the lists for cities `base .. base + chunk_len/k`.
     fn fill_chunk<F>(
         inst: &Instance,
-        soa: Option<&SoaCoords>,
         k: usize,
         base: usize,
         flat: &mut [u32],
@@ -143,18 +134,8 @@ impl NeighborLists {
             let nn = query(c);
             debug_assert_eq!(nn.len(), k);
             flat[i * k..(i + 1) * k].copy_from_slice(&nn);
-            match soa {
-                Some(soa) => soa.batch_dists(
-                    inst.metric(),
-                    inst.point(c),
-                    &nn,
-                    &mut dists[i * k..(i + 1) * k],
-                ),
-                None => {
-                    for (j, &o) in nn.iter().enumerate() {
-                        dists[i * k + j] = inst.dist(c, o as usize);
-                    }
-                }
+            for (j, &o) in nn.iter().enumerate() {
+                dists[i * k + j] = inst.dist(c, o as usize);
             }
         }
     }

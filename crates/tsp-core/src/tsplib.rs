@@ -132,6 +132,12 @@ pub fn parse_instance(text: &str) -> Result<Instance> {
     }
 
     let n = dimension.ok_or_else(|| Error::Parse("missing DIMENSION".into(), None))?;
+    if n < 3 {
+        return Err(Error::Parse(
+            format!("DIMENSION {n}: a TSP instance needs at least 3 cities"),
+            None,
+        ));
+    }
     let ewt = edge_weight_type.unwrap_or_else(|| "EUC_2D".into());
 
     let mut inst = if ewt == "EXPLICIT" {
@@ -180,27 +186,48 @@ pub fn parse_instance(text: &str) -> Result<Instance> {
 }
 
 /// Expand a packed TSPLIB weight list into a full row-major matrix.
+///
+/// The weight count is checked against `n` in checked arithmetic
+/// before the `n * n` matrix is allocated, so a hostile `DIMENSION`
+/// is an error rather than an overflow or a huge allocation. An
+/// asymmetric `FULL_MATRIX` is an error too.
 fn expand_matrix(fmt: &str, w: &[i64], n: usize) -> Result<Vec<i64>> {
-    let mut m = vec![0i64; n * n];
-    let expect = |want: usize| -> Result<()> {
-        if w.len() != want {
-            Err(Error::Parse(
-                format!("{fmt}: expected {want} weights, got {}", w.len()),
+    let nn = n.checked_mul(n);
+    let want = match fmt {
+        "FULL_MATRIX" => nn,
+        "UPPER_ROW" | "LOWER_ROW" => nn.map(|nn| (nn - n) / 2),
+        "UPPER_DIAG_ROW" | "LOWER_DIAG_ROW" => nn.and_then(|nn| nn.checked_add(n)).map(|x| x / 2),
+        other => {
+            return Err(Error::Parse(
+                format!("unsupported EDGE_WEIGHT_FORMAT {other}"),
                 None,
             ))
-        } else {
-            Ok(())
         }
     };
+    if want != Some(w.len()) {
+        return Err(Error::Parse(
+            format!("{fmt}: DIMENSION {n} does not match {} weights", w.len()),
+            None,
+        ));
+    }
+    let mut m = vec![0i64; n * n];
+    let mut k = 0;
     match fmt {
         "FULL_MATRIX" => {
-            expect(n * n)?;
             m.copy_from_slice(w);
+            for i in 0..n {
+                for j in (i + 1)..n {
+                    if m[i * n + j] != m[j * n + i] {
+                        return Err(Error::Parse(
+                            format!("FULL_MATRIX is asymmetric at ({}, {})", i + 1, j + 1),
+                            None,
+                        ));
+                    }
+                }
+            }
         }
         "UPPER_ROW" => {
             // Row i lists d(i, i+1..n), no diagonal.
-            expect(n * (n - 1) / 2)?;
-            let mut k = 0;
             for i in 0..n {
                 for j in (i + 1)..n {
                     m[i * n + j] = w[k];
@@ -210,8 +237,6 @@ fn expand_matrix(fmt: &str, w: &[i64], n: usize) -> Result<Vec<i64>> {
             }
         }
         "LOWER_ROW" => {
-            expect(n * (n - 1) / 2)?;
-            let mut k = 0;
             for i in 1..n {
                 for j in 0..i {
                     m[i * n + j] = w[k];
@@ -221,8 +246,6 @@ fn expand_matrix(fmt: &str, w: &[i64], n: usize) -> Result<Vec<i64>> {
             }
         }
         "UPPER_DIAG_ROW" => {
-            expect(n * (n + 1) / 2)?;
-            let mut k = 0;
             for i in 0..n {
                 for j in i..n {
                     m[i * n + j] = w[k];
@@ -231,9 +254,8 @@ fn expand_matrix(fmt: &str, w: &[i64], n: usize) -> Result<Vec<i64>> {
                 }
             }
         }
-        "LOWER_DIAG_ROW" => {
-            expect(n * (n + 1) / 2)?;
-            let mut k = 0;
+        _ => {
+            // LOWER_DIAG_ROW, the only format left after the count check.
             for i in 0..n {
                 for j in 0..=i {
                     m[i * n + j] = w[k];
@@ -241,12 +263,6 @@ fn expand_matrix(fmt: &str, w: &[i64], n: usize) -> Result<Vec<i64>> {
                     k += 1;
                 }
             }
-        }
-        other => {
-            return Err(Error::Parse(
-                format!("unsupported EDGE_WEIGHT_FORMAT {other}"),
-                None,
-            ))
         }
     }
     Ok(m)
@@ -459,6 +475,35 @@ NODE_COORD_SECTION
 EOF
 ";
         assert!(parse_instance(text).is_err());
+    }
+
+    /// Hostile headers each return `Err`: none may panic, and none may
+    /// allocate by the declared `DIMENSION`.
+    #[test]
+    fn hostile_headers_error() {
+        let explicit = |dim: &str, fmt: &str, weights: &str| {
+            format!(
+                "DIMENSION: {dim}\nEDGE_WEIGHT_TYPE: EXPLICIT\nEDGE_WEIGHT_FORMAT: {fmt}\n\
+                 EDGE_WEIGHT_SECTION\n{weights}\nEOF\n"
+            )
+        };
+        let coords = |dim: &str, lines: &str| {
+            format!("DIMENSION: {dim}\nEDGE_WEIGHT_TYPE: EUC_2D\nNODE_COORD_SECTION\n{lines}EOF\n")
+        };
+        let max = "18446744073709551615";
+        let cases = [
+            // n*n overflows usize.
+            (explicit(max, "FULL_MATRIX", "1"), "does not match"),
+            (coords("2", "1 0 0\n2 1 1\n"), "at least 3"),
+            (coords("0", ""), "at least 3"),
+            (explicit("2", "FULL_MATRIX", "0 1\n1 0"), "at least 3"),
+            (explicit("0", "UPPER_ROW", ""), "at least 3"),
+            (explicit("3", "FULL_MATRIX", "0 1 2\n9 0 3\n2 3 0"), "asymmetric"),
+        ];
+        for (text, want) in cases {
+            let err = parse_instance(&text).unwrap_err().to_string();
+            assert!(err.contains(want), "{text:?}: {err}");
+        }
     }
 
     #[test]

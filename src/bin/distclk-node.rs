@@ -1,7 +1,8 @@
 //! Deployable cluster binary: run the hub or a compute node as separate
 //! OS processes, communicating over real TCP — the paper's deployment
-//! shape (§2.2: hub + 8 nodes on a switched Ethernet). The hub keeps
-//! serving `DOWN`, `REJOIN`, `METRICS` and `STATUS` after bootstrap
+//! shape (§2.2: hub + 8 nodes on a switched Ethernet). The hub hands
+//! out ids and neighbor lists (`JOIN`); the nodes then run peer to
+//! peer. The hub keeps its port open for `METRICS`/`STATUS` scrapes
 //! until it is killed.
 //!
 //! ```text
