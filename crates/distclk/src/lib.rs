@@ -47,7 +47,7 @@ pub use service::{
     ServiceConfig, ServiceJobHandler, SolverService,
 };
 pub use shard::{
-    node_of_shard, run_sharded_threads, run_sharded_threads_with_obs, validate_shard_result,
+    node_of_shard, run_sharded_threads, validate_shard_result,
     ShardDistConfig, ShardDistResult, RESOLVED_LOCALLY,
 };
 

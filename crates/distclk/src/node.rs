@@ -942,18 +942,9 @@ impl<'a, T: Transport> NodeDriver<'a, T> {
                         .event("node.peer_optimum", &[("from", Value::U(from as u64))]);
                     self.terminated = true;
                 }
-                Message::Leave { .. } => {}
-                // Over TCP, pings are answered inside the endpoint's
-                // reader thread and never reach this loop; in-memory
-                // transports surface them here, so answer for parity.
-                Message::Ping { from } => {
-                    let pong = Message::Pong {
-                        from: self.id,
-                        t_ns: self.obs.t_ns(),
-                    };
-                    let _ = self.transport.send(from, pong);
-                }
-                Message::Pong { .. } => {}
+                // Liveness probes are answered by the TCP endpoint's
+                // reader thread; no other transport carries them.
+                Message::Leave { .. } | Message::Ping { .. } | Message::Pong { .. } => {}
                 // A peer shipped its live telemetry here because this
                 // node holds (or held) the lifecycle-hub role: merge it
                 // into the attached store. Without a store the frame is
@@ -1102,33 +1093,13 @@ impl<'a, T: Transport> NodeDriver<'a, T> {
         true
     }
 
-    /// Serialize this node's resumable state — best tour plus the
-    /// adaptive `NumNoImprovements` counter — as one wire frame (the
-    /// tour rides in a `TourFound`, the counter in its id field), so
-    /// the checkpoint format needs no second codec.
-    pub fn checkpoint(&self) -> Vec<u8> {
-        p2p::codec::encode(&Message::TourFound {
-            from: self.id,
-            id: self.perturb.no_improvements() as u64,
-            length: self.best_len,
-            order: self.best_tour.order().to_vec(),
-        })
-        .to_vec()
-    }
-
-    /// Restore state from a [`NodeDriver::checkpoint`] blob. The tour
-    /// is validated exactly like a received one (a stale or corrupted
-    /// checkpoint must not poison the node) and adopted only if it
-    /// beats the current best. Returns `false` when the blob is
-    /// rejected.
-    pub fn restore(&mut self, checkpoint: &[u8]) -> bool {
-        let mut reader = checkpoint;
-        let Ok(Message::TourFound {
-            id, length, order, ..
-        }) = p2p::codec::read_frame(&mut reader)
-        else {
-            return false;
-        };
+    /// Resume from a tour found earlier (a reassigned service job
+    /// restarts from its last streamed best). The tour is validated
+    /// exactly like a received one, so a stale or corrupted one cannot
+    /// poison the node, and adopted only if it beats the current best.
+    /// `NumNoImprovements` restarts at 0. Returns `false` when the tour
+    /// is rejected.
+    pub fn restore(&mut self, length: i64, order: Vec<u32>) -> bool {
         let Some((len, tour)) = self.validate_received(length, order) else {
             return false;
         };
@@ -1145,12 +1116,8 @@ impl<'a, T: Transport> NodeDriver<'a, T> {
                 local: false,
             });
         }
-        self.perturb
-            .set_no_improvements(id.min(u32::MAX as u64) as u32);
-        self.obs.event(
-            "node.restore",
-            &[("len", Value::I(len)), ("no_improvements", Value::U(id))],
-        );
+        self.perturb.record_improvement();
+        self.obs.event("node.restore", &[("len", Value::I(len))]);
         true
     }
 

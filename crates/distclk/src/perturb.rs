@@ -79,13 +79,6 @@ impl Perturbator {
         self.num_no_improvements = self.num_no_improvements.saturating_add(1);
     }
 
-    /// Overwrite `NumNoImprovements` — used when restoring a node from
-    /// a checkpoint so the adaptive kick strength resumes where the
-    /// previous incarnation left off instead of resetting to weak kicks.
-    pub fn set_no_improvements(&mut self, value: u32) {
-        self.num_no_improvements = value;
-    }
-
     /// Record an improvement — found locally *or received from another
     /// node*; both reset the counter (§4.2.1: "As this tour was …
     /// improving the local best tours, the local NumNoImprovements

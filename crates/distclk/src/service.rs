@@ -3,33 +3,33 @@
 //!
 //! The paper's system solves one instance per cluster bring-up; this
 //! module makes the cluster outlive any single job. A persistent
-//! [`SolverService`] runs a supervisor plus a pool of worker nodes over
-//! an in-process star network (`p2p` wire frames end to end, so the
-//! same protocol drives the TCP front-end). Clients submit a
+//! [`SolverService`] runs one supervisor thread. Clients submit a
 //! [`JobSpec`] — TSPLIB or JSON payload plus a deadline and/or quality
 //! budget — and receive a [`JobHandle`] streaming strictly improving
 //! tours back as they are found (anytime semantics), terminated by a
 //! single [`JobUpdate::Done`].
 //!
-//! Design points, in the order the ISSUE names them:
+//! Design points:
 //!
 //! - **Per-job engine state.** The [`crate::NodeDriver`] stays borrowed
 //!   to one instance for its lifetime; the decoupling happens one layer
-//!   up. Every accepted job gets its own solve thread owning its own
-//!   parsed [`Instance`], candidate lists, and a fresh single-node
-//!   driver — engine state is keyed by `job_id`, and one worker
-//!   multiplexes any number of concurrent jobs.
-//! - **Wire protocol.** Scheduling crosses the transport as the five
-//!   `Job*` frames (codec tags 12–16), ids minted by
-//!   [`p2p::job_id`]`(client, seq)` following the PR 2 broadcast-id
-//!   template. The TCP front-end ([`ServiceJobHandler`]) rides the
-//!   lifecycle hub's `JOB` command.
+//!   up. [`SolverService::submit`] parses the payload once, on the
+//!   caller's thread, and the supervisor starts the job's own solve
+//!   thread with that [`Instance`], its candidate lists and a fresh
+//!   single-node driver. The thread reports every improvement and its
+//!   end on the supervisor's one inbox; the supervisor relays them to
+//!   the client. A worker is a placement label and a failure domain,
+//!   not a thread: it carries any number of concurrent jobs.
+//! - **Wire protocol.** Clients reach the service over TCP through the
+//!   lifecycle hub's `JOB` command ([`ServiceJobHandler`]) as the five
+//!   `Job*` frames (codec tags 12–16), with ids minted by
+//!   [`p2p::job_id`]`(client, seq)` after the broadcast-id template.
 //! - **Churn survival.** The supervisor remembers each job's last
-//!   streamed best; when a worker dies the job is resubmitted to a
-//!   survivor with that tour as a checkpoint (PR 4's
-//!   [`crate::NodeDriver::restore`] blob — an encoded `TourFound`
-//!   frame, revalidated on restore). The kick budget restarts on the
-//!   new worker but the absolute deadline is preserved.
+//!   streamed best; when a worker dies ([`SolverService::kill_worker`])
+//!   its jobs move to survivors, each resuming from that tour
+//!   ([`crate::NodeDriver::restore`] revalidates it). The kick budget
+//!   restarts on the new worker but the absolute deadline is
+//!   preserved.
 //! - **Fairness.** Admission charges a per-client [`FlowBudget`] in a
 //!   [`FlowLedger`] before any effect, the semilattice flow-budget
 //!   idiom: `spent` merges by max (join), `limit` by min (meet), so
@@ -40,18 +40,18 @@ use std::collections::BTreeMap;
 use std::collections::HashMap;
 use std::io::Write as _;
 use std::net::TcpStream;
-use std::sync::atomic::{AtomicBool, AtomicU8, Ordering};
+use std::sync::atomic::{AtomicU8, Ordering};
 use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
-use crossbeam::channel::{bounded, unbounded, Receiver, Sender};
+use crossbeam::channel::{bounded, unbounded, Receiver, RecvTimeoutError, Sender};
 use lk::Budget;
 use obs_api::{kinds, Obs, Value};
 use p2p::codec::write_frame;
 use p2p::hub::JobHandler;
 use p2p::memory::MemoryEndpoint;
-use p2p::{job_id, InMemoryNetwork, Message, NetError, NodeId, Topology, Transport};
+use p2p::{job_id, InMemoryNetwork, Message, NetError, NodeId};
 use tsp_core::{Instance, Point};
 
 use crate::node::{DistConfig, NodeDriver};
@@ -150,9 +150,10 @@ impl JobPayload {
     }
 
     /// Parse into an [`Instance`]. Total: malformed payloads (including
-    /// fewer than 3 cities, which `Instance::new` would panic on) come
-    /// back as `Err`, never a panic — this is the admission filter for
-    /// adversarial submissions.
+    /// fewer than 3 cities, which `Instance::new` would panic on, and
+    /// coordinates so large that a tour length could overflow `i64`)
+    /// come back as `Err`, never a panic — this is the admission filter
+    /// for adversarial submissions.
     pub fn parse(&self) -> Result<Instance, String> {
         match self {
             JobPayload::Tsplib(text) => {
@@ -163,11 +164,13 @@ impl JobPayload {
                 if pts.len() < 3 {
                     return Err(format!("need at least 3 cities, got {}", pts.len()));
                 }
-                Ok(Instance::new(
+                let inst = Instance::new(
                     "json-job",
                     pts.into_iter().map(|(x, y)| Point::new(x, y)).collect(),
                     tsp_core::Metric::Euc2d,
-                ))
+                );
+                inst.check_tour_length_bound().map_err(|e| e.to_string())?;
+                Ok(inst)
             }
         }
     }
@@ -308,8 +311,8 @@ impl JobSpec {
         self
     }
 
-    /// Encode as a `JobSubmit` frame (fresh submission: `from`/`job`
-    /// zero — the scheduler assigns the id — and no checkpoint).
+    /// Encode as a `JobSubmit` frame (`from`/`job` zero: the service
+    /// assigns the id).
     pub fn to_submit(&self, client: u64) -> Message {
         Message::JobSubmit {
             from: 0,
@@ -324,12 +327,11 @@ impl JobSpec {
             target: self.target.unwrap_or(i64::MIN),
             payload_kind: self.payload.kind(),
             payload: self.payload.bytes().to_vec(),
-            checkpoint: Vec::new(),
         }
     }
 
-    /// Decode a `JobSubmit` frame into `(client, spec, checkpoint)`.
-    pub fn from_submit(msg: &Message) -> Result<(u64, JobSpec, Vec<u8>), String> {
+    /// Decode a `JobSubmit` frame into `(client, spec)`.
+    pub fn from_submit(msg: &Message) -> Result<(u64, JobSpec), String> {
         let Message::JobSubmit {
             client,
             seed,
@@ -338,7 +340,6 @@ impl JobSpec {
             target,
             payload_kind,
             payload,
-            checkpoint,
             ..
         } = msg
         else {
@@ -353,7 +354,6 @@ impl JobSpec {
                 target: (*target != i64::MIN).then_some(*target),
                 payload: JobPayload::from_wire(*payload_kind, payload)?,
             },
-            checkpoint.clone(),
         ))
     }
 }
@@ -472,26 +472,18 @@ impl FlowLedger {
 /// Configuration of a [`SolverService`].
 #[derive(Debug, Clone)]
 pub struct ServiceConfig {
-    /// Worker-node count (the supervisor is an extra node 0 of the
-    /// internal star network).
+    /// Worker count. Workers (ids `1..=workers`) are placement labels
+    /// and failure domains for [`SolverService::kill_worker`]; each job
+    /// runs on its own thread, so they do not bound concurrency.
     pub workers: usize,
     /// Engine template: `clk`, `c_v`/`c_r`, perturbation settings.
     /// Per-job fields (`nodes`, `seed`, `budget`) are overridden from
     /// each [`JobSpec`]; everything else applies to all jobs.
     pub engine: DistConfig,
-    /// Fairness: default per-client admission budget (job count when
-    /// `job_cost` is 1).
+    /// Fairness: default per-client admission budget, in jobs.
     pub default_limit: u64,
-    /// Admission cost of one job.
-    pub job_cost: u64,
     /// Kick cap applied to submissions that set no bound at all.
     pub default_kicks: u64,
-    /// How long past a job's deadline the supervisor waits for the
-    /// worker's own expiry before force-finishing the job itself (the
-    /// backstop that guarantees clean expiry even across worker death).
-    pub deadline_grace: Duration,
-    /// Supervisor/worker poll interval.
-    pub tick: Duration,
 }
 
 impl Default for ServiceConfig {
@@ -500,10 +492,7 @@ impl Default for ServiceConfig {
             workers: 4,
             engine: DistConfig::default(),
             default_limit: 64,
-            job_cost: 1,
             default_kicks: 64,
-            deadline_grace: Duration::from_secs(2),
-            tick: Duration::from_millis(1),
         }
     }
 }
@@ -513,7 +502,7 @@ impl Default for ServiceConfig {
 /// is terminal.
 #[derive(Debug, Clone, PartialEq)]
 pub enum JobUpdate {
-    /// The scheduler placed the job on a worker.
+    /// The supervisor placed the job on a worker.
     Accepted {
         /// Worker node id.
         worker: NodeId,
@@ -592,15 +581,27 @@ impl JobHandle {
 // Supervisor internals
 // ---------------------------------------------------------------------------
 
+/// Admission cost of one job: the flow budget counts jobs.
+const JOB_COST: u64 = 1;
+
+/// How long past a job's deadline the supervisor waits for the solve
+/// thread's own expiry before force-finishing the job itself (the
+/// backstop that guarantees clean expiry even if a solve thread is
+/// wedged).
+const DEADLINE_GRACE: Duration = Duration::from_secs(2);
+
+/// Everything the supervisor reacts to, on one channel: client
+/// commands from [`SolverService`] and the reports of solve threads.
 enum Command {
     Submit {
         client: u64,
         spec: JobSpec,
+        /// The payload, parsed on the submitting thread.
+        inst: Result<Arc<Instance>, String>,
         reply: Sender<Result<(u64, Receiver<JobUpdate>), String>>,
     },
     Cancel {
         job: u64,
-        reason: DoneReason,
     },
     WorkerDead {
         worker: NodeId,
@@ -612,23 +613,39 @@ enum Command {
         reply: Sender<FlowLedger>,
     },
     Shutdown,
+    /// A solve thread on `worker` found a strictly better tour.
+    Improved {
+        worker: NodeId,
+        job: u64,
+        length: i64,
+        order: Vec<u32>,
+    },
+    /// A solve thread on `worker` stopped, with its best tour.
+    Finished {
+        worker: NodeId,
+        job: u64,
+        reason: DoneReason,
+        length: i64,
+        order: Vec<u32>,
+    },
 }
 
 struct JobState {
-    client: u64,
-    spec: JobSpec,
+    inst: Arc<Instance>,
+    /// The service's engine template with this job's seed and bounds.
+    engine: DistConfig,
     worker: NodeId,
-    accepted: bool,
     deadline: Option<Instant>,
-    /// Deadline-cancel already sent to the worker.
-    expiry_sent: bool,
+    /// Stops the job's current solve thread.
+    cancel: Arc<CancelSlot>,
     best: Option<(i64, Vec<u32>)>,
     subscriber: Sender<JobUpdate>,
 }
 
 struct Supervisor {
-    ep: MemoryEndpoint,
-    commands: Receiver<Command>,
+    inbox: Receiver<Command>,
+    /// Handed to every solve thread for its reports.
+    reports: Sender<Command>,
     cfg: ServiceConfig,
     obs: Obs,
     ledger: FlowLedger,
@@ -645,23 +662,18 @@ struct Supervisor {
 impl Supervisor {
     fn run(mut self) {
         loop {
-            // Inbox first: a worker's final frames beat its death
-            // notice when both are pending, so finished work is never
-            // thrown away by a reassignment.
-            for msg in self.ep.drain() {
-                self.on_frame(msg);
+            let next = match self.check_deadlines() {
+                Some(wait) => self.inbox.recv_timeout(wait),
+                None => self
+                    .inbox
+                    .recv()
+                    .map_err(|_| RecvTimeoutError::Disconnected),
+            };
+            match next {
+                Ok(Command::Shutdown) | Err(RecvTimeoutError::Disconnected) => break,
+                Ok(cmd) => self.on_command(cmd),
+                Err(RecvTimeoutError::Timeout) => {}
             }
-            let mut shutdown = false;
-            while let Ok(cmd) = self.commands.try_recv() {
-                if self.on_command(cmd) {
-                    shutdown = true;
-                }
-            }
-            if shutdown {
-                break;
-            }
-            self.check_deadlines();
-            std::thread::sleep(self.cfg.tick);
         }
         // Terminal updates for anything still in flight, so client
         // streams end cleanly instead of hanging on a dropped channel.
@@ -671,26 +683,19 @@ impl Supervisor {
         }
     }
 
-    fn on_command(&mut self, cmd: Command) -> bool {
+    fn on_command(&mut self, cmd: Command) {
         match cmd {
             Command::Submit {
                 client,
                 spec,
+                inst,
                 reply,
             } => {
-                let _ = reply.send(self.admit(client, spec));
+                let _ = reply.send(self.admit(client, spec, inst));
             }
-            Command::Cancel { job, reason } => {
+            Command::Cancel { job } => {
                 if let Some(state) = self.jobs.get(&job) {
-                    let worker = state.worker;
-                    let _ = self.ep.send(
-                        worker,
-                        Message::JobCancel {
-                            from: 0,
-                            job,
-                            reason: reason.code(),
-                        },
-                    );
+                    state.cancel.set(DoneReason::Cancelled);
                 }
             }
             Command::WorkerDead { worker } => self.on_worker_dead(worker),
@@ -698,189 +703,179 @@ impl Supervisor {
             Command::Ledger { reply } => {
                 let _ = reply.send(self.ledger.clone());
             }
-            Command::Shutdown => return true,
+            Command::Shutdown => {}
+            // A report from a thread that no longer owns its job (its
+            // worker was killed and the job moved) is dropped, so a
+            // killed worker's late tours never reach the client.
+            Command::Improved {
+                worker,
+                job,
+                length,
+                order,
+            } => {
+                let Some(state) = self.jobs.get_mut(&job).filter(|s| s.worker == worker) else {
+                    return;
+                };
+                // Relay only strict improvements over the tracked best:
+                // a reassigned job restarts from its last streamed tour
+                // and may re-announce it. This filter is what makes the
+                // client stream strictly decreasing unconditionally.
+                if state.best.as_ref().is_none_or(|(l, _)| length < *l) {
+                    state.best = Some((length, order.clone()));
+                    let _ = state.subscriber.send(JobUpdate::Improved { length, order });
+                    self.obs.counter(kinds::C_SVC_IMPROVEMENTS).incr();
+                }
+            }
+            Command::Finished {
+                worker,
+                job,
+                reason,
+                length,
+                order,
+            } => {
+                if self.jobs.get(&job).is_some_and(|s| s.worker == worker) {
+                    self.finish_job(job, reason, Some((length, order)));
+                }
+            }
         }
-        false
+    }
+
+    fn reject(&self, client: u64, why: u64) {
+        self.obs.counter(kinds::C_SVC_REJECTED).incr();
+        self.obs.event(
+            kinds::SVC_REJECT,
+            &[("client", Value::U(client)), ("why", Value::U(why))],
+        );
     }
 
     fn admit(
         &mut self,
         client: u64,
         mut spec: JobSpec,
+        inst: Result<Arc<Instance>, String>,
     ) -> Result<(u64, Receiver<JobUpdate>), String> {
         self.obs.counter(kinds::C_SVC_SUBMITTED).incr();
         // Validate before charging: a malformed payload is not the
         // tenant's budget's problem.
-        if let Err(e) = spec.payload.parse() {
-            self.obs.counter(kinds::C_SVC_REJECTED).incr();
-            self.obs.event(
-                kinds::SVC_REJECT,
-                &[("client", Value::U(client)), ("why", Value::U(0))],
-            );
-            return Err(format!("bad payload: {e}"));
-        }
+        let inst = inst.map_err(|e| {
+            self.reject(client, 0);
+            format!("bad payload: {e}")
+        })?;
         // Charge before any effect (the flow-budget discipline).
-        if !self.ledger.charge(client, self.cfg.job_cost) {
-            self.obs.counter(kinds::C_SVC_REJECTED).incr();
-            self.obs.event(
-                kinds::SVC_REJECT,
-                &[("client", Value::U(client)), ("why", Value::U(1))],
-            );
+        if !self.ledger.charge(client, JOB_COST) {
+            self.reject(client, 1);
             return Err(format!(
                 "flow budget exhausted for client {client} (limit {})",
                 self.ledger.get(client).limit
             ));
         }
+        // `0` kicks means "no bound" on the wire; read it the same way
+        // here, so an in-process submission cannot slip past the cap.
+        if spec.kicks == Some(0) {
+            spec.kicks = None;
+        }
         if spec.kicks.is_none() && spec.deadline.is_none() && spec.target.is_none() {
             spec.kicks = Some(self.cfg.default_kicks);
         }
+        let mut engine = self.cfg.engine.clone();
+        engine.nodes = 1;
+        engine.seed = spec.seed;
+        engine.budget = Budget {
+            time_limit: spec.deadline,
+            max_kicks: spec.kicks,
+            target_length: spec.target,
+        };
+        // Telemetry shipping would address frames to a hub peer that
+        // does not exist on the job's private network.
+        engine.telemetry_every = 0;
         let seq = self.seqs.entry(client).or_insert(0);
         let job = job_id(client, *seq);
         *seq += 1;
-        let deadline = spec.deadline.map(|d| Instant::now() + d);
         let (tx, rx) = unbounded();
         let state = JobState {
-            client,
-            spec,
+            inst,
+            engine,
             worker: 0,
-            accepted: false,
-            deadline,
-            expiry_sent: false,
+            // A deadline past what `Instant` can hold never expires.
+            deadline: spec.deadline.and_then(|d| Instant::now().checked_add(d)),
+            cancel: Arc::default(),
             best: None,
             subscriber: tx,
         };
         self.jobs.insert(job, state);
-        if !self.dispatch(job, Vec::new()) {
+        if !self.dispatch(job) {
             self.jobs.remove(&job);
-            self.obs.counter(kinds::C_SVC_REJECTED).incr();
+            self.reject(client, 2);
             return Err("no live workers".into());
         }
+        let state = &self.jobs[&job];
+        let worker = state.worker;
+        let _ = state.subscriber.send(JobUpdate::Accepted { worker });
         self.obs.counter(kinds::C_SVC_ACCEPTED).incr();
+        self.obs.event(
+            kinds::SVC_ACCEPT,
+            &[
+                ("job", Value::U(job)),
+                ("client", Value::U(client)),
+                ("worker", Value::U(worker as u64)),
+            ],
+        );
         Ok((job, rx))
     }
 
     /// Place a job (fresh or reassigned) on the least-loaded live
-    /// worker (ties to the lowest id). `checkpoint` carries the last
-    /// streamed best on reassignment.
-    fn dispatch(&mut self, job: u64, checkpoint: Vec<u8>) -> bool {
-        loop {
-            let Some(&worker) = self
-                .alive
-                .iter()
-                .min_by_key(|&&w| (self.load.get(&w).copied().unwrap_or(0), w))
-            else {
-                return false;
-            };
-            let state = self.jobs.get_mut(&job).expect("dispatching unknown job");
-            let deadline_ms = match state.deadline {
-                Some(d) => d
-                    .saturating_duration_since(Instant::now())
-                    .as_millis()
-                    .max(1) as u64,
-                None => 0,
-            };
-            let msg = Message::JobSubmit {
-                from: 0,
-                job,
-                client: state.client,
-                seed: state.spec.seed,
-                kicks: state.spec.kicks.unwrap_or(0),
-                deadline_ms,
-                target: state.spec.target.unwrap_or(i64::MIN),
-                payload_kind: state.spec.payload.kind(),
-                payload: state.spec.payload.bytes().to_vec(),
-                checkpoint: checkpoint.clone(),
-            };
-            if self.ep.send(worker, msg).is_ok() {
-                state.worker = worker;
-                *self.load.entry(worker).or_insert(0) += 1;
-                return true;
-            }
-            // The worker died between liveness bookkeeping and this
-            // send; drop it and retry the next candidate.
-            self.alive.retain(|&w| w != worker);
+    /// worker (ties to the lowest id) and start its solve thread. A
+    /// reassigned job resumes from its last streamed best and keeps
+    /// its absolute deadline.
+    fn dispatch(&mut self, job: u64) -> bool {
+        let Some(&worker) = self
+            .alive
+            .iter()
+            .min_by_key(|&&w| (self.load.get(&w).copied().unwrap_or(0), w))
+        else {
+            return false;
+        };
+        let state = self.jobs.get_mut(&job).expect("dispatching unknown job");
+        let mut engine = state.engine.clone();
+        if let Some(deadline) = state.deadline {
+            let left = deadline.saturating_duration_since(Instant::now());
+            engine.budget.time_limit = Some(left.max(Duration::from_millis(1)));
         }
+        let cancel = Arc::new(CancelSlot::default());
+        let (inst, resume, reports) = (
+            Arc::clone(&state.inst),
+            state.best.clone(),
+            self.reports.clone(),
+        );
+        let slot = Arc::clone(&cancel);
+        let spawned = std::thread::Builder::new()
+            .name(format!("svc-job-{job:x}"))
+            .spawn(move || {
+                // Solving is CPU-bound from the first instruction. Yield
+                // once so the submitter's thread, woken to answer the
+                // client, runs first: on a 2-core host with a second
+                // job solving, skipping this delayed the client's
+                // `JobAccept` by about 2 ms (svc-jobs accept_ms p50).
+                std::thread::yield_now();
+                solve_job(worker, job, &inst, engine, resume, &slot, &reports)
+            });
+        if spawned.is_err() {
+            return false;
+        }
+        state.worker = worker;
+        state.cancel = cancel;
+        *self.load.entry(worker).or_insert(0) += 1;
+        true
     }
 
-    fn on_frame(&mut self, msg: Message) {
-        match msg {
-            Message::JobAccept { job, worker, .. } => {
-                if let Some(state) = self.jobs.get_mut(&job) {
-                    if !state.accepted {
-                        state.accepted = true;
-                        let _ = state.subscriber.send(JobUpdate::Accepted {
-                            worker: worker as NodeId,
-                        });
-                        self.obs.event(
-                            kinds::SVC_ACCEPT,
-                            &[
-                                ("job", Value::U(job)),
-                                ("client", Value::U(state.client)),
-                                ("worker", Value::U(worker)),
-                            ],
-                        );
-                    }
-                }
-            }
-            Message::JobImproved {
-                job, length, order, ..
-            } => {
-                if let Some(state) = self.jobs.get_mut(&job) {
-                    // Relay only strict improvements over the tracked
-                    // best: the per-worker stream is already strictly
-                    // improving, but a reassigned job restarts from its
-                    // checkpoint and may re-announce equal-or-worse
-                    // tours. This filter is what makes the client
-                    // stream monotone decreasing unconditionally.
-                    if state.best.as_ref().is_none_or(|(l, _)| length < *l) {
-                        state.best = Some((length, order.clone()));
-                        let _ = state.subscriber.send(JobUpdate::Improved { length, order });
-                        self.obs.counter(kinds::C_SVC_IMPROVEMENTS).incr();
-                    }
-                }
-            }
-            Message::JobDone {
-                from,
-                job,
-                reason,
-                length,
-                order,
-            } => {
-                let stale_worker = match self.jobs.get(&job) {
-                    // A frame from a previous assignee that raced the
-                    // reassignment: keep its tour, ignore its verdict —
-                    // the new worker owns termination now.
-                    Some(state) if state.worker != from => true,
-                    Some(_) => false,
-                    None => return,
-                };
-                let payload = (length < i64::MAX && !order.is_empty()).then_some((length, order));
-                if stale_worker {
-                    if let Some((length, order)) = payload {
-                        self.on_frame(Message::JobImproved {
-                            from,
-                            job,
-                            length,
-                            order,
-                        });
-                    }
-                    return;
-                }
-                self.finish_job(job, DoneReason::from_code(reason), payload);
-            }
-            // Anything else on the supervisor port (stray tour gossip
-            // from embedded engines is impossible — each job runs a
-            // private 1-node network — but stay total).
-            _ => {}
-        }
-    }
-
-    /// Terminal transition: emit `Done` carrying the best tour seen
-    /// from any assignee, drop the job, release the worker-load slot.
+    /// Terminal transition: stop the solve thread, emit `Done` carrying
+    /// the best tour seen from any assignee, drop the job, release the
+    /// worker-load slot.
     fn finish_job(&mut self, job: u64, reason: DoneReason, last: Option<(i64, Vec<u32>)>) {
         let Some(mut state) = self.jobs.remove(&job) else {
             return;
         };
+        state.cancel.set(reason);
         if let Some((length, order)) = last {
             if state.best.as_ref().is_none_or(|(l, _)| length < *l) {
                 state.best = Some((length, order));
@@ -914,9 +909,9 @@ impl Supervisor {
         });
     }
 
-    /// A worker died: reassign every job it carried to survivors,
-    /// restoring each from the last tour the supervisor streamed (the
-    /// checkpoint/restore path — zero accepted-job loss).
+    /// A worker died: stop its solve threads and reassign every job it
+    /// carried to survivors, each resuming from the last tour the
+    /// supervisor streamed (zero accepted-job loss).
     fn on_worker_dead(&mut self, worker: NodeId) {
         self.alive.retain(|&w| w != worker);
         self.load.remove(&worker);
@@ -928,29 +923,14 @@ impl Supervisor {
             .collect();
         for job in orphans {
             let state = &self.jobs[&job];
-            if state
-                .deadline
-                .is_some_and(|d| Instant::now() >= d)
-            {
+            state.cancel.set(DoneReason::Cancelled);
+            if state.deadline.is_some_and(|d| Instant::now() >= d) {
                 // Past deadline already: expire cleanly rather than
                 // burn a survivor on it.
                 self.finish_job(job, DoneReason::Deadline, None);
                 continue;
             }
-            let checkpoint = state
-                .best
-                .as_ref()
-                .map(|(length, order)| {
-                    p2p::codec::encode(&Message::TourFound {
-                        from: 0,
-                        id: 0,
-                        length: *length,
-                        order: order.clone(),
-                    })
-                    .to_vec()
-                })
-                .unwrap_or_default();
-            if self.dispatch(job, checkpoint) {
+            if self.dispatch(job) {
                 let to = self.jobs[&job].worker;
                 self.obs.counter(kinds::C_SVC_REASSIGNED).incr();
                 self.obs.event(
@@ -967,39 +947,44 @@ impl Supervisor {
         }
     }
 
-    /// Deadline enforcement: at expiry, nudge the worker with a cancel
-    /// (its own time budget normally fires first); `deadline_grace`
-    /// later, force-finish from the supervisor — the guarantee that
-    /// every job terminates even if its worker is wedged or dead.
-    fn check_deadlines(&mut self) {
+    /// Deadline enforcement: at expiry, nudge the solve thread through
+    /// its cancel slot (its own time budget normally fires first);
+    /// [`DEADLINE_GRACE`] later, force-finish from the supervisor — the
+    /// guarantee that every job terminates even if its thread is
+    /// wedged. Returns how long until the next check is due (`None`:
+    /// no job has a deadline).
+    fn check_deadlines(&mut self) -> Option<Duration> {
         let now = Instant::now();
         let mut expired = Vec::new();
-        for (&job, state) in self.jobs.iter_mut() {
+        let mut next: Option<Duration> = None;
+        for (&job, state) in &self.jobs {
             let Some(deadline) = state.deadline else {
                 continue;
             };
-            if now >= deadline + self.cfg.deadline_grace {
-                expired.push(job);
-            } else if now >= deadline && !state.expiry_sent {
-                state.expiry_sent = true;
-                let _ = self.ep.send(
-                    state.worker,
-                    Message::JobCancel {
-                        from: 0,
-                        job,
-                        reason: DoneReason::Deadline.code(),
-                    },
-                );
-            }
+            let due = match now.checked_duration_since(deadline) {
+                None => deadline - now,
+                Some(late) if late >= DEADLINE_GRACE => {
+                    expired.push(job);
+                    continue;
+                }
+                Some(late) => {
+                    if state.cancel.get().is_none() {
+                        state.cancel.set(DoneReason::Deadline);
+                    }
+                    DEADLINE_GRACE - late
+                }
+            };
+            next = Some(next.map_or(due, |n| n.min(due)));
         }
         for job in expired {
             self.finish_job(job, DoneReason::Deadline, None);
         }
+        next
     }
 }
 
 // ---------------------------------------------------------------------------
-// Worker internals
+// Solve threads
 // ---------------------------------------------------------------------------
 
 /// Cross-thread cancel slot: 0 = not cancelled, else `reason + 1`.
@@ -1019,62 +1004,6 @@ impl CancelSlot {
     }
 }
 
-fn worker_loop(mut ep: MemoryEndpoint, cfg: ServiceConfig, stop: Arc<AtomicBool>) {
-    let id = ep.node_id();
-    let (tx, rx) = unbounded::<Message>();
-    let mut cancels: HashMap<u64, Arc<CancelSlot>> = HashMap::new();
-    while !stop.load(Ordering::Relaxed) {
-        for msg in ep.drain() {
-            match msg {
-                submit @ Message::JobSubmit { .. } => {
-                    let (Message::JobSubmit { job, .. }, Ok((_, spec, checkpoint))) =
-                        (&submit, JobSpec::from_submit(&submit))
-                    else {
-                        continue;
-                    };
-                    let job = *job;
-                    let cancel = Arc::new(CancelSlot::default());
-                    cancels.insert(job, Arc::clone(&cancel));
-                    let _ = ep.send(
-                        0,
-                        Message::JobAccept {
-                            from: id,
-                            job,
-                            worker: id as u64,
-                        },
-                    );
-                    let tx = tx.clone();
-                    let engine = cfg.engine.clone();
-                    std::thread::spawn(move || {
-                        solve_job(id, job, spec, checkpoint, engine, cancel, tx)
-                    });
-                }
-                Message::JobCancel { job, reason, .. } => {
-                    if let Some(slot) = cancels.get(&job) {
-                        slot.set(DoneReason::from_code(reason));
-                    }
-                }
-                _ => {}
-            }
-        }
-        while let Ok(msg) = rx.try_recv() {
-            if let Message::JobDone { job, .. } = &msg {
-                cancels.remove(job);
-            }
-            if ep.send(0, msg).is_err() {
-                // Supervisor gone: the service is shutting down.
-                return;
-            }
-        }
-        std::thread::sleep(cfg.tick);
-    }
-    // Killed: stop this worker's solve threads too (their results
-    // would be discarded anyway — the channel receiver dies with us).
-    for slot in cancels.values() {
-        slot.set(DoneReason::Cancelled);
-    }
-}
-
 /// One job's solve thread: a private single-node engine over its own
 /// one-node in-memory network. With no cancellation this is
 /// step-for-step the [`crate::run_over_transports`] loop
@@ -1083,40 +1012,17 @@ fn worker_loop(mut ep: MemoryEndpoint, cfg: ServiceConfig, stop: Arc<AtomicBool>
 fn solve_job(
     worker: NodeId,
     job: u64,
-    spec: JobSpec,
-    checkpoint: Vec<u8>,
-    mut engine: DistConfig,
-    cancel: Arc<CancelSlot>,
-    tx: Sender<Message>,
+    inst: &Instance,
+    engine: DistConfig,
+    resume: Option<(i64, Vec<u32>)>,
+    cancel: &CancelSlot,
+    reports: &Sender<Command>,
 ) {
-    let done = |reason: DoneReason, length: i64, order: Vec<u32>| Message::JobDone {
-        from: worker,
-        job,
-        reason: reason.code(),
-        length,
-        order,
-    };
-    let Ok(inst) = spec.payload.parse() else {
-        // Admission validated the payload; only a corrupted reassignment
-        // frame can land here.
-        let _ = tx.send(done(DoneReason::Cancelled, i64::MAX, Vec::new()));
-        return;
-    };
-    engine.nodes = 1;
-    engine.seed = spec.seed;
-    engine.budget = Budget {
-        time_limit: spec.deadline,
-        max_kicks: spec.kicks,
-        target_length: spec.target,
-    };
-    // Telemetry shipping would address frames to a hub peer that does
-    // not exist on the private network.
-    engine.telemetry_every = 0;
-    let neighbors = crate::build_neighbors(&inst, &engine);
+    let neighbors = crate::build_neighbors(inst, &engine);
     let (mut eps, _) = InMemoryNetwork::build(1, engine.topology);
-    let mut node = NodeDriver::new(&inst, &neighbors, &engine, eps.remove(0));
-    if !checkpoint.is_empty() {
-        node.restore(&checkpoint);
+    let mut node = NodeDriver::new(inst, &neighbors, &engine, eps.remove(0));
+    if let Some((length, order)) = resume {
+        node.restore(length, order);
     }
     // Stream the construction-time tour immediately: anytime semantics
     // start at acceptance, not at the first kick.
@@ -1124,8 +1030,8 @@ fn solve_job(
     let ship = |node: &NodeDriver<MemoryEndpoint>, last: &mut i64| {
         if node.best_length() < *last {
             *last = node.best_length();
-            let _ = tx.send(Message::JobImproved {
-                from: worker,
+            let _ = reports.send(Command::Improved {
+                worker,
                 job,
                 length: *last,
                 order: node.best_tour().order().to_vec(),
@@ -1139,7 +1045,7 @@ fn solve_job(
         }
         // Ship the step's result even when it is the last one: the
         // round that spends the budget or hits the target must reach
-        // the client as an improvement, not only in `JobDone`.
+        // the client as an improvement, not only in `Done`.
         let live = node.step();
         ship(&node, &mut last);
         if !live {
@@ -1151,97 +1057,83 @@ fn solve_job(
     // target beats kicks beats deadline when several are set (the
     // engine's own clock includes construction time, so the deadline
     // verdict falls out by elimination rather than re-measuring).
+    let budget = &engine.budget;
     let reason = cancelled.unwrap_or_else(|| {
-        if spec.target.is_some_and(|t| result.best_length <= t) {
+        if budget
+            .target_length
+            .is_some_and(|t| result.best_length <= t)
+        {
             DoneReason::Target
-        } else if spec.kicks.is_some_and(|k| result.clk_calls >= k) {
+        } else if budget.max_kicks.is_some_and(|k| result.clk_calls >= k) {
             DoneReason::Budget
-        } else if spec.deadline.is_some() {
+        } else if budget.time_limit.is_some() {
             DoneReason::Deadline
         } else {
             DoneReason::Budget
         }
     });
-    let _ = tx.send(done(
+    let _ = reports.send(Command::Finished {
+        worker,
+        job,
         reason,
-        result.best_length,
-        result.best_tour.order().to_vec(),
-    ));
+        length: result.best_length,
+        order: result.best_tour.order().to_vec(),
+    });
 }
 
 // ---------------------------------------------------------------------------
 // The service
 // ---------------------------------------------------------------------------
 
-/// A persistent, multi-tenant solve service: one supervisor thread plus
-/// [`ServiceConfig::workers`] worker threads over an internal star
-/// network, accepting jobs until [`SolverService::shutdown`] (or drop).
+/// A persistent, multi-tenant solve service: one supervisor thread that
+/// starts a solve thread per job on one of [`ServiceConfig::workers`]
+/// workers, accepting jobs until [`SolverService::shutdown`] (or drop).
 pub struct SolverService {
     commands: Sender<Command>,
-    net: InMemoryNetwork,
-    stops: Vec<Arc<AtomicBool>>,
-    threads: Vec<JoinHandle<()>>,
+    supervisor: Option<JoinHandle<()>>,
     obs: Obs,
 }
 
 impl SolverService {
-    /// Bring up the cluster and start accepting jobs.
+    /// Start the supervisor and begin accepting jobs.
     pub fn start(cfg: ServiceConfig) -> Self {
         assert!(cfg.workers >= 1, "a service needs at least one worker");
         let obs = Obs::for_node(0);
-        let (net, mut endpoints) = InMemoryNetwork::create(cfg.workers + 1, Topology::Star);
         let (cmd_tx, cmd_rx) = unbounded();
-        let mut threads = Vec::new();
-        let mut stops = Vec::new();
-        // Drain endpoints back-to-front so worker ids match indices.
-        let mut workers: Vec<MemoryEndpoint> = endpoints.split_off(1);
-        let supervisor_ep = endpoints.remove(0);
         let supervisor = Supervisor {
-            ep: supervisor_ep,
-            commands: cmd_rx,
+            inbox: cmd_rx,
+            reports: cmd_tx.clone(),
             alive: (1..=cfg.workers as NodeId).collect(),
             load: HashMap::new(),
             ledger: FlowLedger::new(cfg.default_limit),
             jobs: HashMap::new(),
             seqs: HashMap::new(),
             obs: obs.clone(),
-            cfg: cfg.clone(),
+            cfg,
         };
-        threads.push(
-            std::thread::Builder::new()
-                .name("svc-supervisor".into())
-                .spawn(move || supervisor.run())
-                .expect("spawn supervisor"),
-        );
-        for ep in workers.drain(..) {
-            let stop = Arc::new(AtomicBool::new(false));
-            stops.push(Arc::clone(&stop));
-            let cfg = cfg.clone();
-            threads.push(
-                std::thread::Builder::new()
-                    .name(format!("svc-worker-{}", ep.node_id()))
-                    .spawn(move || worker_loop(ep, cfg, stop))
-                    .expect("spawn worker"),
-            );
-        }
+        let supervisor = std::thread::Builder::new()
+            .name("svc-supervisor".into())
+            .spawn(move || supervisor.run())
+            .expect("spawn supervisor");
         SolverService {
             commands: cmd_tx,
-            net,
-            stops,
-            threads,
+            supervisor: Some(supervisor),
             obs,
         }
     }
 
-    /// Submit a job for `client`. Blocks only for admission (payload
-    /// validation, fairness charge, placement); solving streams back on
-    /// the returned handle.
+    /// Submit a job for `client`. The payload is parsed here, once, on
+    /// the caller's thread; the call then blocks only for admission
+    /// (fairness charge, placement). Solving streams back on the
+    /// returned handle.
     pub fn submit(&self, client: u64, spec: JobSpec) -> Result<JobHandle, String> {
+        let inst = spec.payload.parse().map(Arc::new);
         let (reply_tx, reply_rx) = bounded(1);
         self.commands
             .send(Command::Submit {
                 client,
                 spec,
+                inst,
                 reply: reply_tx,
             })
             .map_err(|_| "service shut down".to_string())?;
@@ -1253,21 +1145,14 @@ impl SolverService {
 
     /// Cancel a job (client-initiated, reason code 3).
     pub fn cancel(&self, job: u64) {
-        let _ = self.commands.send(Command::Cancel {
-            job,
-            reason: DoneReason::Cancelled,
-        });
+        let _ = self.commands.send(Command::Cancel { job });
     }
 
-    /// Crash worker `worker` (1-based node id): its endpoint is
-    /// unregistered, its loop stops, and the supervisor reassigns every
-    /// job it carried from the last streamed checkpoints.
+    /// Crash worker `worker` (1-based id): its solve threads stop,
+    /// anything they still report is dropped, and the supervisor
+    /// reassigns every job it carried from the last streamed tours.
     pub fn kill_worker(&self, worker: NodeId) {
-        assert!(worker >= 1, "node 0 is the supervisor");
-        self.net.kill(worker);
-        if let Some(stop) = self.stops.get(worker - 1) {
-            stop.store(true, Ordering::Relaxed);
-        }
+        assert!(worker >= 1, "worker ids start at 1");
         let _ = self.commands.send(Command::WorkerDead { worker });
     }
 
@@ -1293,17 +1178,14 @@ impl SolverService {
     }
 
     /// Stop accepting jobs, finish terminal updates for anything in
-    /// flight, and join all service threads.
+    /// flight, and join the supervisor.
     pub fn shutdown(mut self) {
         self.shutdown_inner();
     }
 
     fn shutdown_inner(&mut self) {
         let _ = self.commands.send(Command::Shutdown);
-        for stop in &self.stops {
-            stop.store(true, Ordering::Relaxed);
-        }
-        for t in self.threads.drain(..) {
+        if let Some(t) = self.supervisor.take() {
             let _ = t.join();
         }
     }
@@ -1343,7 +1225,7 @@ impl JobHandler for ServiceJobHandler {
     fn handle(&self, first: Message, mut stream: TcpStream) -> Result<(), NetError> {
         match first {
             submit @ Message::JobSubmit { .. } => {
-                let (client, spec, _) = match JobSpec::from_submit(&submit) {
+                let (client, spec) = match JobSpec::from_submit(&submit) {
                     Ok(parts) => parts,
                     Err(e) => {
                         writeln!(stream, "ERR {e}")?;
@@ -1422,6 +1304,28 @@ mod tests {
         JobPayload::Json(points_to_json(&pts))
     }
 
+    /// 40 cities with coordinates up to 1.2e19: every tour length
+    /// overflows `i64`.
+    fn huge_payload() -> JobPayload {
+        let pts: Vec<(f64, f64)> = (0..40)
+            .map(|i| ((i % 7) as f64 * 2e18, (i / 7) as f64 * 2e18))
+            .collect();
+        JobPayload::Json(points_to_json(&pts))
+    }
+
+    /// Receive the next update, failing after `limit` instead of
+    /// hanging on a job that never ends.
+    fn recv_within(handle: &JobHandle, limit: Duration) -> JobUpdate {
+        let start = Instant::now();
+        loop {
+            if let Some(update) = handle.try_recv() {
+                return update;
+            }
+            assert!(start.elapsed() < limit, "no update within {limit:?}");
+            std::thread::sleep(Duration::from_millis(1));
+        }
+    }
+
     #[test]
     fn json_points_roundtrip_and_rejection() {
         let pts = vec![(0.0, 0.0), (3.5, -1.25), (100.0, 7.0)];
@@ -1447,6 +1351,9 @@ mod tests {
         }
         // Too few cities is an admission error, not a panic.
         assert!(JobPayload::Json("[[0,0],[1,1]]".into()).parse().is_err());
+        // So are coordinates whose tour lengths overflow i64.
+        let err = huge_payload().parse().unwrap_err();
+        assert!(err.contains("overflow i64"), "{err}");
     }
 
     #[test]
@@ -1465,18 +1372,17 @@ mod tests {
             .deadline(Duration::from_millis(1500))
             .target(123);
         let msg = spec.to_submit(42);
-        let (client, back, checkpoint) = JobSpec::from_submit(&msg).unwrap();
+        let (client, back) = JobSpec::from_submit(&msg).unwrap();
         assert_eq!(client, 42);
         assert_eq!(back.seed, 7);
         assert_eq!(back.kicks, Some(12));
         assert_eq!(back.deadline, Some(Duration::from_millis(1500)));
         assert_eq!(back.target, Some(123));
         assert_eq!(back.payload, spec.payload);
-        assert!(checkpoint.is_empty());
 
         // Unset bounds map through the wire sentinels.
         let bare = JobSpec::new(grid_payload(16));
-        let (_, back, _) = JobSpec::from_submit(&bare.to_submit(1)).unwrap();
+        let (_, back) = JobSpec::from_submit(&bare.to_submit(1)).unwrap();
         assert_eq!(back.kicks, None);
         assert_eq!(back.deadline, None);
         assert_eq!(back.target, None);
@@ -1623,10 +1529,53 @@ mod tests {
             .submit(1, JobSpec::new(JobPayload::Tsplib(two.into())))
             .unwrap_err();
         assert!(err.contains("bad payload"), "{err}");
+        let err = svc
+            .submit(1, JobSpec::new(huge_payload()).kicks(3))
+            .unwrap_err();
+        assert!(err.contains("overflow i64"), "{err}");
         let ok = svc
             .submit(2, JobSpec::new(grid_payload(16)).kicks(2))
             .unwrap();
         assert!(ok.wait().is_some());
+        svc.shutdown();
+    }
+
+    /// `kicks(0)` means "no bound", in-process as on the wire, so a job
+    /// with no other bound gets the `default_kicks` cap and ends on its
+    /// budget instead of running forever.
+    #[test]
+    fn zero_kicks_job_is_capped() {
+        let svc = SolverService::start(ServiceConfig {
+            workers: 1,
+            ..Default::default()
+        });
+        let handle = svc
+            .submit(1, JobSpec::new(grid_payload(30)).seed(1).kicks(0))
+            .unwrap();
+        loop {
+            if let JobUpdate::Done { reason, .. } = recv_within(&handle, Duration::from_secs(10)) {
+                assert_eq!(reason, DoneReason::Budget);
+                break;
+            }
+        }
+        svc.shutdown();
+    }
+
+    /// A deadline too far out for `Instant` is no supervisor deadline,
+    /// not a supervisor panic: the job runs to its kick budget.
+    #[test]
+    fn unrepresentable_deadline_leaves_service_up() {
+        let svc = SolverService::start(ServiceConfig {
+            workers: 1,
+            ..Default::default()
+        });
+        let spec = JobSpec::new(grid_payload(16))
+            .kicks(2)
+            .deadline(Duration::MAX);
+        let (reason, ..) = svc.submit(1, spec).unwrap().wait().unwrap();
+        assert_eq!(reason, DoneReason::Budget);
+        let next = svc.submit(2, JobSpec::new(grid_payload(16)).kicks(2));
+        assert!(next.is_ok());
         svc.shutdown();
     }
 }

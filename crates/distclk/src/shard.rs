@@ -122,15 +122,6 @@ pub fn validate_shard_result(
 /// set* — sub-instance, neighbor lists, engine state — is bounded by
 /// the largest assigned shard, which is what caps deployment memory.
 pub fn run_sharded_threads(inst: &Instance, cfg: &ShardDistConfig) -> ShardDistResult {
-    run_sharded_threads_with_obs(inst, cfg, &Obs::disabled())
-}
-
-/// [`run_sharded_threads`] with observability probes on the collector.
-pub fn run_sharded_threads_with_obs(
-    inst: &Instance,
-    cfg: &ShardDistConfig,
-    obs: &Obs,
-) -> ShardDistResult {
     assert!(cfg.nodes >= 1, "need at least one node");
     let start = Instant::now();
 
@@ -138,7 +129,7 @@ pub fn run_sharded_threads_with_obs(
     // itself collapses to the bit-identical unsharded engine at <= 1
     // shard).
     if cfg.shard.shards <= 1 || !inst.metric().is_geometric() {
-        let res = lk::shard::shard_solve_with_obs(inst, &cfg.shard, obs);
+        let res = lk::shard::shard_solve(inst, &cfg.shard);
         return ShardDistResult {
             tour: res.tour,
             length: res.length,
@@ -182,7 +173,7 @@ pub fn run_sharded_threads_with_obs(
                 }
             });
         }
-        collect(inst, &part, cfg, collector_ep, obs)
+        collect(inst, &part, cfg, collector_ep)
     });
 
     let mut stats = ShardStats {
@@ -199,7 +190,14 @@ pub fn run_sharded_threads_with_obs(
             Some(order)
         })
         .collect();
-    let tour = stitch_and_refine(inst, &part, cycles, &cfg.shard, obs, &mut stats);
+    let tour = stitch_and_refine(
+        inst,
+        &part,
+        cycles,
+        &cfg.shard,
+        &Obs::disabled(),
+        &mut stats,
+    );
     let length = tour.length(inst);
     ShardDistResult {
         tour,
@@ -222,7 +220,6 @@ fn collect<T: Transport>(
     part: &Partition,
     cfg: &ShardDistConfig,
     mut ep: T,
-    obs: &Obs,
 ) -> (Collected, Vec<NodeId>, u64, f64) {
     let t0 = Instant::now();
     let shard_count = part.shard_count();
@@ -249,7 +246,6 @@ fn collect<T: Transport>(
     for s in 0..shard_count {
         if node_of_shard(s, cfg.nodes) == me {
             let (order, length) = solve_one_shard(inst, part, s, &cfg.shard);
-            obs.counter(obs_api::kinds::C_SHARDS_SOLVED).incr();
             install(&mut cycles, &mut solver_of, s, length, order, me);
         }
     }
@@ -271,10 +267,7 @@ fn collect<T: Transport>(
                     }
                     install(&mut cycles, &mut solver_of, s, true_len, order, from);
                 }
-                None => {
-                    rejected += 1;
-                    obs.counter(obs_api::kinds::C_SHARD_REJECTS).incr();
-                }
+                None => rejected += 1,
             },
             Some(_) => {}
             None => std::thread::sleep(Duration::from_millis(1)),
@@ -286,7 +279,6 @@ fn collect<T: Transport>(
     for (s, cycle) in cycles.iter_mut().enumerate() {
         if cycle.is_none() {
             let (order, length) = solve_one_shard(inst, part, s, &cfg.shard);
-            obs.counter(obs_api::kinds::C_SHARDS_SOLVED).incr();
             *cycle = Some((length, order));
         }
     }

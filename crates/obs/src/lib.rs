@@ -89,9 +89,6 @@ pub mod kinds {
     pub const C_SHARD_SEAM_CITIES: &str = "shard.seam_cities";
     /// Counter: total tour length recovered by seam refinement.
     pub const C_SHARD_REFINE_GAIN: &str = "shard.refine_gain";
-    /// Counter: shard results rejected by the collector's validation
-    /// (bad membership, wrong length, out-of-range shard id).
-    pub const C_SHARD_REJECTS: &str = "shard.rejects";
     /// A job was admitted by the service scheduler. Fields: `job`,
     /// `client`, `worker`. Counter: [`C_SVC_ACCEPTED`].
     pub const SVC_ACCEPT: &str = "svc.accept";
@@ -103,7 +100,7 @@ pub mod kinds {
     /// `reason`, `len`. Counter: [`C_SVC_COMPLETED`].
     pub const SVC_DONE: &str = "svc.done";
     /// An in-flight job was reassigned to a surviving worker after its
-    /// worker died, restored from the last streamed checkpoint.
+    /// worker died, resumed from the last streamed tour.
     /// Fields: `job`, `from_worker`, `to_worker`. Counter:
     /// [`C_SVC_REASSIGNED`].
     pub const SVC_REASSIGN: &str = "svc.reassign";

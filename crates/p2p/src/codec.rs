@@ -220,7 +220,6 @@ pub fn encode(msg: &Message) -> Bytes {
             target,
             payload_kind,
             payload,
-            checkpoint,
         } => {
             buf.put_u8(TAG_JOB_SUBMIT);
             buf.put_u64_le(*from as u64);
@@ -233,8 +232,6 @@ pub fn encode(msg: &Message) -> Bytes {
             buf.put_u8(*payload_kind);
             buf.put_u32_le(payload.len() as u32);
             buf.put_slice(payload);
-            buf.put_u32_le(checkpoint.len() as u32);
-            buf.put_slice(checkpoint);
         }
         Message::JobAccept { from, job, worker } => {
             buf.put_u8(TAG_JOB_ACCEPT);
@@ -488,19 +485,11 @@ pub fn decode(mut payload: &[u8]) -> Result<Message, NetError> {
                 return Err(err(&format!("bad JobSubmit payload kind {payload_kind}")));
             }
             let n = payload.get_u32_le() as usize;
-            // The checkpoint section's 4-byte length must still fit
-            // after `n` payload bytes — a lying count must not read
-            // past the frame or allocate unbounded memory.
-            if payload.remaining() < n + 4 {
-                return Err(err("JobSubmit payload length overruns frame"));
+            // A lying count must not read past the frame or allocate
+            // unbounded memory.
+            if payload.remaining() != n {
+                return Err(err("JobSubmit payload length mismatch"));
             }
-            let body = payload[..n].to_vec();
-            payload.advance(n);
-            let c = payload.get_u32_le() as usize;
-            if payload.remaining() != c {
-                return Err(err("JobSubmit checkpoint length mismatch"));
-            }
-            let checkpoint = payload.to_vec();
             Ok(Message::JobSubmit {
                 from,
                 job,
@@ -510,8 +499,7 @@ pub fn decode(mut payload: &[u8]) -> Result<Message, NetError> {
                 deadline_ms,
                 target,
                 payload_kind,
-                payload: body,
-                checkpoint,
+                payload: payload.to_vec(),
             })
         }
         TAG_JOB_ACCEPT => {
@@ -846,14 +834,13 @@ mod tests {
             target: -5,
             payload_kind: 1,
             payload: b"NAME: t\nTYPE: TSP\n".to_vec(),
-            checkpoint: vec![1, 2, 3, 4, 5],
         }
     }
 
     #[test]
     fn roundtrip_job_frames() {
         roundtrip(sample_job_submit());
-        // Fresh submission: empty checkpoint, unbounded kicks.
+        // Unbounded kicks, no deadline, no target.
         roundtrip(Message::JobSubmit {
             from: 3,
             job: 0,
@@ -864,7 +851,6 @@ mod tests {
             target: i64::MIN,
             payload_kind: 2,
             payload: b"[[0,0],[1,1]]".to_vec(),
-            checkpoint: vec![],
         });
         roundtrip(Message::JobAccept {
             from: 2,
@@ -920,12 +906,6 @@ mod tests {
         // Payload length overrunning the frame.
         let mut bad = payload.to_vec();
         bad[kind_at + 1..kind_at + 5].copy_from_slice(&u32::MAX.to_le_bytes());
-        assert!(decode(&bad).is_err());
-        // Checkpoint length disagreeing with the bytes present (the
-        // 4-byte section length sits right before the 5 blob bytes).
-        let mut bad = payload.to_vec();
-        let len = bad.len();
-        bad[len - 9..len - 5].copy_from_slice(&u32::MAX.to_le_bytes());
         assert!(decode(&bad).is_err());
     }
 

@@ -31,8 +31,6 @@
 //! changed state — forwarding exactly that subset both bounds gossip
 //! and terminates the epidemic.
 
-use std::collections::BTreeMap;
-
 use crate::message::NodeId;
 use crate::topology::{Membership, Topology};
 
@@ -171,10 +169,6 @@ pub struct Replica {
     view: Membership,
     inc: Vec<u64>,
     state: ElectionState,
-    /// Last repair group per dead node (the hub's `repair_memo`
-    /// equivalent), so a promoted survivor can answer duplicate DOWN
-    /// reports idempotently. Removed on rejoin.
-    repair_groups: BTreeMap<NodeId, Vec<NodeId>>,
 }
 
 impl Replica {
@@ -192,17 +186,7 @@ impl Replica {
             view: Membership::new(topo, n),
             inc: vec![0; n],
             state: ElectionState::bootstrap(0),
-            repair_groups: BTreeMap::new(),
         }
-    }
-
-    /// Reconstruct a replica from a shipped log (a rejoiner or a
-    /// promoted hub rebuilding state). Entries are applied in order
-    /// with the usual fencing, so replaying a valid log is exact.
-    pub fn from_entries(topo: Topology, n: usize, entries: &[LogEntry]) -> Self {
-        let mut r = Replica::bootstrap(topo, n);
-        r.apply(entries);
-        r
     }
 
     /// The replayed membership view.
@@ -218,11 +202,6 @@ impl Replica {
     /// Current incarnation of `id` (0 until its first rejoin).
     pub fn incarnation(&self, id: NodeId) -> u64 {
         self.inc.get(id).copied().unwrap_or(0)
-    }
-
-    /// Last repair group recorded per dead node.
-    pub fn repair_groups(&self) -> &BTreeMap<NodeId, Vec<NodeId>> {
-        &self.repair_groups
     }
 
     /// Hub currently believed in force.
@@ -274,7 +253,6 @@ impl Replica {
                 out.push(LogEntry::Repair { a, b });
             }
         }
-        self.repair_groups.insert(dead, group);
         for &e in &out {
             self.log.push(e);
         }
@@ -315,8 +293,7 @@ impl Replica {
             LogEntry::Join { .. } => false,
             LogEntry::Down { node, inc } => {
                 if node < n && self.view.is_alive(node) && self.inc[node] == inc {
-                    let group = self.view.fail(node);
-                    self.repair_groups.insert(node, group);
+                    self.view.fail(node);
                     true
                 } else {
                     false
@@ -326,7 +303,6 @@ impl Replica {
                 if node < n && !self.view.is_alive(node) && self.inc[node] == inc {
                     self.view.rejoin(node);
                     self.inc[node] = inc + 1;
-                    self.repair_groups.remove(&node);
                     true
                 } else {
                     false
@@ -390,7 +366,6 @@ mod tests {
         assert_eq!(entries.len(), 1 + 3);
         assert_eq!(entries[0], LogEntry::Down { node: 3, inc: 0 });
         assert!(r.note_down(3).is_empty(), "idempotent");
-        assert_eq!(r.repair_groups()[&3], vec![1, 2, 7]);
     }
 
     #[test]
@@ -404,7 +379,6 @@ mod tests {
         assert_eq!(changed, vec![LogEntry::Down { node: 5, inc: 0 }]);
         assert!(b.apply(&entries).is_empty(), "second apply is a no-op");
         assert_eq!(b.view().alive_nodes(), a.view().alive_nodes());
-        assert_eq!(b.repair_groups(), a.repair_groups());
     }
 
     #[test]
@@ -426,9 +400,9 @@ mod tests {
         a.note_down(4);
         a.note_rejoin(0);
         a.note_down(6);
-        let b = Replica::from_entries(Topology::Hypercube, 8, a.log().entries());
+        let mut b = Replica::bootstrap(Topology::Hypercube, 8);
+        b.apply(a.log().entries());
         assert_eq!(b.view().alive_nodes(), a.view().alive_nodes());
-        assert_eq!(b.repair_groups(), a.repair_groups());
         for v in 0..8 {
             assert_eq!(b.incarnation(v), a.incarnation(v), "node {v}");
             assert_eq!(b.view().neighbors(v), a.view().neighbors(v), "node {v}");

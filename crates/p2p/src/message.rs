@@ -151,14 +151,12 @@ pub enum Message {
         /// Sub-tour visiting order in global city ids.
         order: Vec<u32>,
     },
-    /// A solve job entering the service layer: carried from a client
-    /// to the scheduling hub, and from the hub to the worker node the
-    /// job is assigned to. On *re*assignment after a worker death the
-    /// same frame travels again with `checkpoint` holding the last
-    /// streamed best tour (a [`crate::codec`]-encoded `TourFound`, the
-    /// node checkpoint format), so an in-flight job survives churn.
+    /// A solve job entering the service layer: sent by a client over
+    /// the hub's `JOB` command. Placement on a worker and reassignment
+    /// after a worker death happen inside the service and send no
+    /// frame.
     JobSubmit {
-        /// Submitting node (the hub when forwarding to a worker).
+        /// Submitting node.
         from: NodeId,
         /// Job id, `client << 32 | seq` — the same composition as
         /// [`broadcast_id`], so `job >> 32` recovers the owning client
@@ -181,12 +179,10 @@ pub enum Message {
         payload_kind: u8,
         /// The instance payload bytes.
         payload: Vec<u8>,
-        /// Resume state for reassignment (empty on fresh submission).
-        checkpoint: Vec<u8>,
     },
-    /// A worker accepted a job and is solving it.
+    /// The service placed a job on a worker, which is solving it.
     JobAccept {
-        /// Accepting worker.
+        /// Sending node.
         from: NodeId,
         /// Job id.
         job: u64,
@@ -195,9 +191,9 @@ pub enum Message {
         worker: u64,
     },
     /// Anytime stream: the job's engine improved its best tour. Sent
-    /// worker → hub → client for every strict improvement.
+    /// to the client for every strict improvement.
     JobImproved {
-        /// Reporting worker.
+        /// Sending node.
         from: NodeId,
         /// Job id.
         job: u64,
@@ -210,7 +206,7 @@ pub enum Message {
     /// reached, deadline expired, or cancelled — with the final best
     /// tour either way (anytime semantics).
     JobDone {
-        /// Reporting worker.
+        /// Sending node.
         from: NodeId,
         /// Job id.
         job: u64,
@@ -222,9 +218,8 @@ pub enum Message {
         /// Final best visiting order.
         order: Vec<u32>,
     },
-    /// Cancel an in-flight job (client request, or the hub enforcing a
-    /// deadline on a wedged worker). The worker answers with a
-    /// [`Message::JobDone`] carrying its best-so-far.
+    /// Cancel an in-flight job (client request). The job's stream ends
+    /// with a [`Message::JobDone`] carrying its best-so-far.
     JobCancel {
         /// Requesting node.
         from: NodeId,
@@ -284,14 +279,10 @@ impl Message {
             }
             // tag + from + shard + length + count + cities.
             Message::ShardResult { order, .. } => 1 + 8 + 4 + 8 + 4 + 4 * order.len(),
-            Message::JobSubmit {
-                payload,
-                checkpoint,
-                ..
-            } => {
+            Message::JobSubmit { payload, .. } => {
                 // tag + from + job + client + seed + kicks + deadline
-                // + target + kind + two length-prefixed byte sections.
-                1 + 8 + 8 + 8 + 8 + 8 + 8 + 8 + 1 + 4 + payload.len() + 4 + checkpoint.len()
+                // + target + kind + length-prefixed payload.
+                1 + 8 + 8 + 8 + 8 + 8 + 8 + 8 + 1 + 4 + payload.len()
             }
             Message::JobAccept { .. } => 1 + 8 + 8 + 8,
             // tag + from + job + length + count + cities.
@@ -476,11 +467,10 @@ mod tests {
             target: i64::MIN,
             payload_kind: 1,
             payload: b"NAME: t\n".to_vec(),
-            checkpoint: vec![],
         };
         assert_eq!(submit.from(), 0);
-        // Fixed header + kind byte + two length-prefixed sections.
-        assert_eq!(submit.wire_size(), 1 + 7 * 8 + 1 + 4 + 8 + 4);
+        // Fixed header + kind byte + one length-prefixed section.
+        assert_eq!(submit.wire_size(), 1 + 7 * 8 + 1 + 4 + 8);
         assert_eq!(
             Message::JobAccept {
                 from: 2,

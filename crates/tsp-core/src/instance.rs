@@ -155,6 +155,43 @@ impl Instance {
         self.known_optimum = Some(opt);
     }
 
+    /// Check that no tour of this instance can have a length beyond
+    /// `i64`, so that no tour length, nor any partial sum of a tour's
+    /// edges, can overflow. One edge is bounded from above: by the
+    /// bounding box's width plus height, plus one for rounding, for
+    /// coordinate metrics; by half the earth's circumference for `GEO`;
+    /// by the largest absolute weight for an explicit matrix. That
+    /// bound times `n` must fit in `i64`.
+    pub fn check_tour_length_bound(&self) -> crate::Result<()> {
+        let edge = match &self.metric {
+            Metric::Explicit(m, _) => m.iter().map(|w| w.unsigned_abs()).max().unwrap_or(0) as f64,
+            Metric::Geo => crate::metric::GEO_EARTH_RADIUS * std::f64::consts::PI + 1.0,
+            _ => {
+                let (mut lo, mut hi) = (
+                    Point::new(f64::MAX, f64::MAX),
+                    Point::new(f64::MIN, f64::MIN),
+                );
+                for p in &self.points {
+                    lo = Point::new(lo.x.min(p.x), lo.y.min(p.y));
+                    hi = Point::new(hi.x.max(p.x), hi.y.max(p.y));
+                }
+                (hi.x - lo.x) + (hi.y - lo.y) + 1.0
+            }
+        };
+        // The relative headroom absorbs the rounding of the f64 sums.
+        if edge * self.len() as f64 * (1.0 + 1e-6) < i64::MAX as f64 {
+            Ok(())
+        } else {
+            Err(crate::Error::Parse(
+                format!(
+                    "edges up to {edge:.3e} over {} cities: tour lengths could overflow i64",
+                    self.len()
+                ),
+                None,
+            ))
+        }
+    }
+
     /// Excess of `length` over the known optimum as a fraction
     /// (e.g. `0.001` = 0.1 % above optimum). `None` when no optimum is
     /// recorded.

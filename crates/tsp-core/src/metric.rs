@@ -12,7 +12,7 @@ use serde::{Deserialize, Serialize};
 use crate::instance::Point;
 
 /// Mean earth radius used by TSPLIB's `GEO` metric (kilometres).
-const GEO_EARTH_RADIUS: f64 = 6378.388;
+pub(crate) const GEO_EARTH_RADIUS: f64 = 6378.388;
 
 /// Edge-weight function of an instance.
 ///

@@ -179,6 +179,7 @@ pub fn parse_instance(text: &str) -> Result<Instance> {
         };
         Instance::new(name, pts, metric)
     };
+    inst.check_tour_length_bound()?;
     if let Some(opt) = known_optimum {
         inst.set_known_optimum(opt);
     }
@@ -499,6 +500,22 @@ EOF
             (explicit("2", "FULL_MATRIX", "0 1\n1 0"), "at least 3"),
             (explicit("0", "UPPER_ROW", ""), "at least 3"),
             (explicit("3", "FULL_MATRIX", "0 1 2\n9 0 3\n2 3 0"), "asymmetric"),
+            // Tour lengths that overflow i64: huge coordinates, huge
+            // weights (3 * 2^62 > i64::MAX).
+            (
+                coords("4", "1 6e18 0\n2 0 6e18\n3 6e18 6e18\n4 0 0\n"),
+                "overflow i64",
+            ),
+            (
+                explicit(
+                    "3",
+                    "FULL_MATRIX",
+                    "0 4611686018427387904 4611686018427387904\n\
+                     4611686018427387904 0 4611686018427387904\n\
+                     4611686018427387904 4611686018427387904 0",
+                ),
+                "overflow i64",
+            ),
         ];
         for (text, want) in cases {
             let err = parse_instance(&text).unwrap_err().to_string();
